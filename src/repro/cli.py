@@ -393,9 +393,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     config = default_config(args.dataset, scale=args.scale, **overrides)
-    baseline = prepare_baseline(config)
-    model = baseline.model_factory()
     cache_dir = _resolve_cache_dir(args)
+    baseline = prepare_baseline(config, cache_dir=cache_dir)
+    model = baseline.model_factory()
     engine_options = dict(engine=args.engine, workers=args.workers,
                           cache_dir=cache_dir, dtype=args.dtype,
                           shard=args.shard, trial_chunk=args.trial_chunk,

@@ -13,6 +13,8 @@ orchestrator's crash-tolerant work-stealing pool (a cell that raises or
 loses its worker is retried once on another worker), and
 :func:`repro.faults.campaign.cached_record` provides on-disk caching keyed
 by the baseline weights and the grid cell, so interrupted grids resume.
+The same ``cache_dir`` holds the trained baseline itself
+(:mod:`repro.experiments.baseline`), so a resumed grid does not retrain it.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def run_fig7_mitigation_comparison(config: Optional[ExperimentConfig] = None,
     for method in methods:
         if method not in MITIGATIONS:
             raise KeyError(f"unknown mitigation '{method}'")
-    baseline = prepare_baseline(config)
+    baseline = prepare_baseline(config, cache_dir=cache_dir)
     cells = [(rate, method) for rate in fault_rates for method in methods]
     evaluate = functools.partial(
         _fig7_cell, config=config, baseline=baseline,
@@ -168,7 +170,7 @@ def run_fig6_optimized_thresholds(config: Optional[ExperimentConfig] = None,
     """
 
     config = config or default_config(dataset)
-    baseline = prepare_baseline(config)
+    baseline = prepare_baseline(config, cache_dir=cache_dir)
     evaluate = functools.partial(
         _fig6_rate, config=config, baseline=baseline,
         retraining_epochs=retraining_epochs,

@@ -314,8 +314,9 @@ def run_scenario(scenario: Union[Scenario, str], *,
                  baseline=None, **engine_options) -> List[dict]:
     """Evaluate a scenario end-to-end and return its sweep records.
 
-    Prepares (or reuses, via ``baseline``) the dataset's trained baseline,
-    then dispatches to the matching :mod:`repro.faults.analysis` sweep
+    Prepares (or reuses, via ``baseline``) the dataset's trained baseline
+    -- through the on-disk baseline store when ``engine_options`` carry a
+    ``cache_dir`` -- then dispatches to the matching :mod:`repro.faults.analysis` sweep
     driver with the scenario's fault model, parameters and mitigation.
     ``engine_options`` are the usual campaign knobs (``engine``, ``dtype``,
     ``workers``, ``cache_dir``, ``shard``, ...).
@@ -327,7 +328,7 @@ def run_scenario(scenario: Union[Scenario, str], *,
         scenario = get_scenario(scenario)
     config = scenario.build_config(**(config_overrides or {}))
     if baseline is None:
-        baseline = prepare_baseline(config)
+        baseline = prepare_baseline(config, cache_dir=engine_options.get("cache_dir"))
     model = baseline.model_factory()
     seed = derive_seed(config.seed, _SWEEP_TAGS[scenario.sweep])
     fault_params = scenario.resolved_fault_params(config)

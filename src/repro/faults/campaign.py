@@ -259,20 +259,31 @@ def _digest_payload(payload: dict) -> str:
 _REQUIRED_RECORD_KEYS = ("accuracies", "accuracy", "trials")
 
 
-def _quarantine_cache_entry(path: Path) -> Optional[Path]:
-    """Move a damaged cache entry to a ``*.quarantined`` sidecar.
+def _quarantine_cache_entry(path: Path, detail: str, *,
+                            on_event: Optional[Callable[[dict], None]] = None
+                            ) -> Optional[Path]:
+    """Move a damaged cache entry to a ``*.quarantined`` sidecar and report it.
 
     Keeps the bytes for post-mortem inspection while freeing the key for a
-    clean recompute.  Returns the sidecar path (``None`` if even the rename
-    failed -- e.g. the entry vanished or the filesystem is read-only, in
-    which case the caller still recomputes, it just may re-trip later).
+    clean recompute.  ``detail`` says what is wrong with the entry; it is
+    logged as a warning and passed to ``on_event`` (if given) as a
+    ``{"kind": "cache-corrupt", ...}`` dict.  Returns the sidecar path
+    (``None`` if even the rename failed -- e.g. the entry vanished or the
+    filesystem is read-only, in which case the caller still recomputes, it
+    just may re-trip later).
     """
 
     sidecar = path.with_name(path.name + ".quarantined")
     try:
         os.replace(path, sidecar)
     except OSError:
-        return None
+        sidecar = None
+    logger.warning(
+        "damaged cache entry %s (%s); quarantined to %s and recomputing",
+        path.name, detail, sidecar.name if sidecar is not None else "<failed>")
+    if on_event is not None:
+        on_event({"kind": "cache-corrupt", "path": str(path), "detail": detail,
+                  "quarantined_to": None if sidecar is None else str(sidecar)})
     return sidecar
 
 
@@ -310,34 +321,33 @@ def load_cached_record(path: Path, *,
                 record = None
     if record is not None:
         return record
-    sidecar = _quarantine_cache_entry(path)
-    logger.warning(
-        "damaged cache entry %s (%s); quarantined to %s and recomputing",
-        path.name, detail, sidecar.name if sidecar is not None else "<failed>")
-    if on_event is not None:
-        on_event({"kind": "cache-corrupt", "path": str(path), "detail": detail,
-                  "quarantined_to": None if sidecar is None else str(sidecar)})
+    _quarantine_cache_entry(path, detail, on_event=on_event)
     return None
 
 
-def _store_record(record, path: Path) -> None:
-    """Write a cache record atomically (temp file + rename).
+def _store_record(record, path: Path, *,
+                  write: Callable[[object, Path], object] = save_records,
+                  chaos: bool = True) -> None:
+    """Write a cache entry atomically (temp file + rename).
 
-    An interrupted run must never leave a truncated JSON behind: a partial
+    An interrupted run must never leave a truncated entry behind: a partial
     file would satisfy the existence check and poison every later lookup.
-    The chaos harness's ``cache-store`` hook sits between the temp write
-    and the rename -- exactly where a real torn write or full disk bites.
+    ``write(record, temporary)`` serialises the entry (pretty JSON by
+    default).  With ``chaos`` the chaos harness's ``cache-store`` hook sits
+    between the temp write and the rename -- exactly where a real torn
+    write or full disk bites.
     """
-
-    from ..testing.chaos import active_plan
 
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        save_records(record, temporary)
-        plan = active_plan()
-        if plan is not None:
-            plan.consult("cache-store", key=path.name, path=temporary)
+        write(record, temporary)
+        if chaos:
+            from ..testing.chaos import active_plan
+
+            plan = active_plan()
+            if plan is not None:
+                plan.consult("cache-store", key=path.name, path=temporary)
         os.replace(temporary, path)
     except BaseException:
         try:
@@ -348,19 +358,22 @@ def _store_record(record, path: Path) -> None:
 
 
 def store_record_safe(record, path: Path, *,
-                      on_event: Optional[Callable[[dict], None]] = None) -> bool:
+                      on_event: Optional[Callable[[dict], None]] = None,
+                      write: Callable[[object, Path], object] = save_records,
+                      chaos: bool = True) -> bool:
     """Best-effort atomic store: an ``OSError`` degrades to uncached compute.
 
     A full disk (``ENOSPC``), a permission flip or a vanished cache mount
     must not fail a sweep that already holds the computed record in memory:
     the failure is logged once per call, reported through ``on_event`` as a
     ``{"kind": "store-degraded", ...}`` dict, and the sweep continues --
-    the record is simply recomputed next run.  Returns whether the store
+    the record is simply recomputed next run.  ``write`` and ``chaos`` are
+    forwarded to :func:`_store_record`.  Returns whether the store
     succeeded.
     """
 
     try:
-        _store_record(record, path)
+        _store_record(record, path, write=write, chaos=chaos)
     except OSError as exc:
         logger.warning(
             "could not store cache record %s (%s); continuing uncached",

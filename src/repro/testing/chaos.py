@@ -11,7 +11,8 @@ runtime consults the plan at two hook points --
   ``crash`` (``os._exit``), ``slow`` (bounded sleep) and ``raise`` (a
   :class:`ChaosError`, exercising the poisoned-unit path).
 * ``"cache-store"``: inside :func:`repro.faults.campaign._store_record`,
-  after the temp file is written but before it is atomically renamed.
+  after the temp file is written but before it is atomically renamed
+  (sweep and mitigation records only; the baseline store opts out).
   Actions: ``corrupt`` (truncate or garble the bytes that will land in the
   cache) and ``enospc`` (raise ``OSError(ENOSPC)``, exercising the
   degrade-to-uncached path).

@@ -1,5 +1,8 @@
 """Tests for the experiment harness (configs, baseline cache, reporting, registry)."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -316,3 +319,280 @@ class TestRegistryEdgeCases:
         spec = get_experiment("fig7")
         with pytest.raises(Exception):
             spec.experiment_id = "other"
+
+
+# ----------------------------------------------------------------------
+# On-disk baseline store
+# ----------------------------------------------------------------------
+#: Tiny NMNIST config (trains in well under a second) for the store's
+#: robustness tests; MICRO is reserved for the identity tests.
+TINY = MICRO.with_overrides(dataset="nmnist", dataset_kwargs=(), num_train=48,
+                            num_test=24, baseline_epochs=2)
+
+#: The small Fig. 7 grid of the identity test: the mitigation cells shuffle
+#: ``baseline.train_loader``, so they see whether a store hit restored it.
+FIG7_GRID = dict(fault_rates=(0.30,), methods=("fapit", "falvolt"), retraining_epochs=2)
+
+
+def _snapshot(baseline):
+    """What a fresh process observes of a prepared baseline."""
+
+    from repro.utils.hashing import state_token
+
+    return (state_token(baseline.state), baseline.baseline_accuracy,
+            json.dumps(baseline.train_loader._rng.bit_generator.state, sort_keys=True))
+
+
+def _store_entries(cache_dir):
+    return sorted(path.name for path in (cache_dir / "baselines").glob("*.npz"))
+
+
+def _tree_state(directory):
+    """(name, size, mtime, inode) of every file below ``directory``."""
+
+    return sorted((str(path.relative_to(directory)), stat.st_size, stat.st_mtime_ns,
+                   stat.st_ino)
+                  for path in directory.rglob("*") if path.is_file()
+                  for stat in [path.stat()])
+
+
+@pytest.fixture
+def isolated_baseline_cache():
+    """Let a test clear the in-process cache without evicting other tests' baselines."""
+
+    from repro.experiments import baseline as baseline_module
+
+    saved = dict(baseline_module._CACHE)
+    clear_baseline_cache()
+    yield
+    baseline_module._CACHE.clear()
+    baseline_module._CACHE.update(saved)
+
+
+def _forbid_training(monkeypatch):
+    """Make any further baseline training fail the test."""
+
+    from repro.snn import Trainer
+
+    monkeypatch.setattr(Trainer, "fit", lambda *args, **kwargs: pytest.fail("retrained"))
+
+
+@pytest.fixture(scope="module")
+def micro_store(tmp_path_factory):
+    """MICRO prepared cold, on a store miss and on a store hit, plus Fig. 7 records.
+
+    ``clear_baseline_cache()`` between the three emulates a fresh process.
+    Each Fig. 7 grid runs right after its baseline was prepared, so every
+    grid starts from the train loader's post-training RNG state.
+    """
+
+    from repro.experiments import baseline as baseline_module
+    from repro.experiments import run_fig7_mitigation_comparison
+
+    saved = dict(baseline_module._CACHE)
+    cache_dir = tmp_path_factory.mktemp("micro-store")
+    result = {}
+    for phase, kwargs in (("cold", {}), ("miss", {"cache_dir": cache_dir}),
+                          ("hit", {"cache_dir": cache_dir})):
+        clear_baseline_cache()
+        with pytest.MonkeyPatch.context() as patch:
+            if phase == "hit":
+                _forbid_training(patch)
+            result[phase] = _snapshot(prepare_baseline(MICRO, **kwargs))
+        result[f"{phase}_fig7"] = run_fig7_mitigation_comparison(MICRO, **FIG7_GRID)
+        if phase == "miss":
+            result["entries"] = _store_entries(cache_dir)
+    baseline_module._CACHE.clear()
+    baseline_module._CACHE.update(saved)
+    return result
+
+
+class TestBaselineStoreIdentity:
+    def test_store_hit_equals_cold_train(self, micro_store):
+        assert micro_store["entries"]  # the miss stored an entry
+        assert micro_store["hit"] == micro_store["miss"] == micro_store["cold"]
+
+    def test_fig7_records_identical_cold_miss_hit(self, micro_store):
+        cold = json.dumps(micro_store["cold_fig7"], sort_keys=True)
+        assert json.dumps(micro_store["miss_fig7"], sort_keys=True) == cold
+        assert json.dumps(micro_store["hit_fig7"], sort_keys=True) == cold
+
+    def test_cli_campaign_rerun_is_byte_identical_without_training(
+            self, tmp_path, monkeypatch, isolated_baseline_cache):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "default_config",
+                            lambda dataset, scale="small", **overrides:
+                            MICRO.with_overrides(**overrides))
+        argv = ["campaign", "counts", "--dataset", "mnist", "--seed", "13",
+                "--counts", "0,4", "--trials", "2", "--cache-dir", str(tmp_path / "cache")]
+        assert cli.main(argv + ["--out", str(tmp_path / "first.json")]) == 0
+        clear_baseline_cache()
+        _forbid_training(monkeypatch)
+        assert cli.main(argv + ["--out", str(tmp_path / "second.json")]) == 0
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+
+class TestBaselineStoreRobustness:
+    @staticmethod
+    def _prime(cache_dir):
+        clear_baseline_cache()
+        primed = _snapshot(prepare_baseline(TINY, cache_dir=cache_dir))
+        clear_baseline_cache()
+        (entry,) = (cache_dir / "baselines").glob("*.npz")
+        return primed, entry
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "token"])
+    def test_damaged_entry_quarantined_and_retrained(self, tmp_path, damage, monkeypatch,
+                                                     isolated_baseline_cache):
+        primed, entry = self._prime(tmp_path)
+        if damage == "truncate":
+            entry.write_bytes(entry.read_bytes()[:200])
+        elif damage == "garbage":
+            entry.write_bytes(b"\x00not a zip archive" * 8)
+        else:
+            with np.load(entry) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            name = next(name for name in arrays if name.startswith("state/"))
+            arrays[name] = arrays[name] + 1.0
+            with open(entry, "wb") as handle:
+                np.savez(handle, **arrays)
+        assert _snapshot(prepare_baseline(TINY, cache_dir=tmp_path)) == primed
+        assert (tmp_path / "baselines" / (entry.name + ".quarantined")).is_file()
+        # The retrained baseline was stored again and now hits.
+        clear_baseline_cache()
+        _forbid_training(monkeypatch)
+        assert _snapshot(prepare_baseline(TINY, cache_dir=tmp_path)) == primed
+
+    def test_enospc_on_store_warns_and_run_finishes(self, tmp_path, monkeypatch, caplog,
+                                                    isolated_baseline_cache):
+        import errno
+
+        from repro.experiments import baseline as baseline_module
+        from repro.experiments import run_fig5b_faulty_pe_count
+
+        grid = dict(counts=(0, 4), trials=1)
+        reference = run_fig5b_faulty_pe_count(TINY, **grid)
+        clear_baseline_cache()
+
+        def full_disk(entry, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(baseline_module, "_write_entry", full_disk)
+        with caplog.at_level("WARNING"):
+            records = run_fig5b_faulty_pe_count(TINY, cache_dir=tmp_path, **grid)
+        assert records == reference
+        assert any("could not store" in message for message in caplog.messages)
+        assert _store_entries(tmp_path) == []
+        assert not list((tmp_path / "baselines").glob("*.tmp*"))
+
+    def test_hit_leaves_cache_tree_untouched(self, tmp_path, monkeypatch,
+                                             isolated_baseline_cache):
+        from repro.experiments import baseline as baseline_module
+        from repro.experiments import run_fig5b_faulty_pe_count
+
+        grid = dict(counts=(0, 4), trials=1)
+        first = run_fig5b_faulty_pe_count(TINY, cache_dir=tmp_path, **grid)
+        assert _store_entries(tmp_path)
+        before = _tree_state(tmp_path)
+        clear_baseline_cache()
+        _forbid_training(monkeypatch)
+        monkeypatch.setattr(baseline_module, "_key_lock",
+                            lambda path: pytest.fail("a store hit took the key lock"))
+        assert run_fig5b_faulty_pe_count(TINY, cache_dir=tmp_path, **grid) == first
+        assert _tree_state(tmp_path) == before
+
+    def test_key_covers_every_config_field_and_the_training_code(self, monkeypatch):
+        from repro.experiments import baseline as baseline_module
+        from repro.experiments.baseline import baseline_key
+
+        key = baseline_key(TINY)
+        assert baseline_key(TINY.with_overrides()) == key
+        changed = {str: lambda value: value + "x", int: lambda value: value + 1,
+                   float: lambda value: value * 2,
+                   tuple: lambda value: value + (("extra", 1),)}
+        for field in dataclasses.fields(ExperimentConfig):
+            value = getattr(TINY, field.name)
+            other = TINY.with_overrides(**{field.name: changed[type(value)](value)})
+            assert baseline_key(other) != key, field.name
+        monkeypatch.setattr(baseline_module, "training_code_digest", lambda: "edited")
+        assert baseline_key(TINY) != key
+
+    def test_use_cache_false_neither_reads_nor_writes(self, tmp_path,
+                                                      isolated_baseline_cache):
+        from repro.experiments.baseline import baseline_key
+
+        prepare_baseline(TINY, use_cache=False, cache_dir=tmp_path)
+        assert not (tmp_path / "baselines").exists()
+        store = tmp_path / "baselines"
+        store.mkdir()
+        garbage = store / f"{baseline_key(TINY)}.npz"
+        garbage.write_bytes(b"garbage")
+        prepare_baseline(TINY, use_cache=False, cache_dir=tmp_path)
+        assert sorted(path.name for path in store.iterdir()) == [garbage.name]
+
+    def test_concurrent_miss_waits_for_the_trainer_and_loads(
+            self, tmp_path, monkeypatch, isolated_baseline_cache):
+        import fcntl
+        import os
+        import shutil
+        import threading
+
+        primed, entry = self._prime(tmp_path / "primed")
+        _forbid_training(monkeypatch)
+        store = tmp_path / "shared" / "baselines"
+        store.mkdir(parents=True)
+        result = {}
+
+        def waiter_main():
+            try:
+                result["prepared"] = prepare_baseline(TINY, cache_dir=store.parent)
+            except BaseException as exc:  # surfaced by the main thread
+                result["error"] = exc
+
+        # Play the process that is training this key: hold its lock, then
+        # publish the entry and release.
+        descriptor = os.open(store / (entry.stem + ".lock"), os.O_RDWR | os.O_CREAT)
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX)
+            waiter = threading.Thread(target=waiter_main)
+            waiter.start()
+            waiter.join(timeout=0.5)
+            assert waiter.is_alive()  # blocked on the trainer's lock
+            shutil.copyfile(entry, store / entry.name)
+        finally:
+            os.close(descriptor)
+        waiter.join(timeout=60)
+        assert "error" not in result, result.get("error")
+        assert _snapshot(result["prepared"]) == primed
+
+
+class TestGoldenTrainingDigest:
+    """The trained baseline bits, pinned per dataset.
+
+    Any change to the training path (autograd, layers, optimiser, data
+    pipeline, loader shuffles) that moves one trained bit changes these
+    digests; a pure speedup must leave them alone.
+    """
+
+    GOLDEN = {
+        "mnist": "0ec3acd71b5d7cc4eed6faa289752d63800fa254cc6dd43de6afcc78bf869f82",
+        "nmnist": "66abb3da9b449f408ef1587f4dce8ea67d8a1c130e2b17bf2bf6981e6ca50098",
+        "dvs_gesture": "4558437a16d5d23fe82467e5c124b5e40d4377bdd5dc5fbc0b82160222f7c424",
+    }
+
+    def test_micro_mnist(self, micro_baseline):
+        from repro.utils.hashing import state_token
+
+        assert state_token(micro_baseline.state) == self.GOLDEN["mnist"]
+
+    @pytest.mark.parametrize("config", [
+        TINY,
+        MICRO.with_overrides(dataset="dvs_gesture", dataset_kwargs=(), num_train=44,
+                             num_test=22, batch_size=11, baseline_epochs=2),
+    ], ids=["nmnist", "dvs_gesture"])
+    def test_tiny_event_datasets(self, config):
+        from repro.utils.hashing import state_token
+
+        prepared = prepare_baseline(config, use_cache=False)
+        assert state_token(prepared.state) == self.GOLDEN[config.dataset]
