@@ -15,6 +15,10 @@ Fault-injection campaigns run directly on the campaign engine::
     python -m repro campaign counts --engine fused --dtype float32
     python -m repro campaign sizes --sizes 8,16,32 --workers 4 --cache-dir .cache
 
+``--engine`` picks the default ``fused`` no-autograd engine or the
+``sequential`` autograd oracle (one inference per fault map); their
+float64 records are byte-identical.
+
 Named scenarios bundle dataset, sweep axis, fault model and mitigation
 into one registry entry (:mod:`repro.experiments.scenarios`)::
 
@@ -118,6 +122,16 @@ def _int_list(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1; got {value}")
+    return value
+
+
 def _shard_spec(text: str):
     from .faults import ShardSpec
 
@@ -133,7 +147,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("fused", "batched", "sequential"),
+    parser.add_argument("--engine", choices=("fused", "sequential"),
                         default="fused",
                         help="campaign execution engine (float64 records are "
                              "identical across engines; 'fused' is the "
@@ -141,16 +155,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dtype", choices=("float64", "float32"), default="float64",
                         help="fused-engine evaluation dtype (float32 trades "
                              "bit-identity for speed)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes pulling sweep units from the "
                              "orchestrator's work-stealing queue (1 = serial)")
-    parser.add_argument("--lane-threads", type=int, default=None, metavar="N",
-                        help="fused-engine fork-lane threads per evaluation "
-                             "(default: $REPRO_LANE_THREADS or 1; inside a "
-                             "--workers pool an unset value stays 1 so the "
-                             "pools compose; 0 auto-sizes from the forked-"
-                             "map count and the CPU count).  Records are "
-                             "byte-identical for every value")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="fused-engine kernel backend (default: "
                              "$REPRO_BACKEND or 'numpy'; 'cffi' compiles the "
@@ -266,7 +273,6 @@ def _engine_kwargs_for(runner, args: argparse.Namespace) -> dict:
                "cache_dir": _resolve_cache_dir(args), "dtype": args.dtype,
                "shard": args.shard, "trial_chunk": args.trial_chunk,
                "unit_timeout": args.unit_timeout,
-               "lane_threads": args.lane_threads,
                "backend": args.backend,
                "plan_cache": not args.no_plan_cache}
     if args.workers > 1 or args.shard is not None:
@@ -333,7 +339,6 @@ def _cmd_campaign_scenario(args: argparse.Namespace) -> int:
                           cache_dir=cache_dir, dtype=args.dtype,
                           shard=args.shard, trial_chunk=args.trial_chunk,
                           unit_timeout=args.unit_timeout,
-                          lane_threads=args.lane_threads,
                           backend=args.backend,
                           plan_cache=not args.no_plan_cache)
     if args.workers > 1 or args.shard is not None:
@@ -400,7 +405,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                           cache_dir=cache_dir, dtype=args.dtype,
                           shard=args.shard, trial_chunk=args.trial_chunk,
                           unit_timeout=args.unit_timeout,
-                          lane_threads=args.lane_threads,
                           backend=args.backend,
                           plan_cache=not args.no_plan_cache)
     if args.workers > 1 or args.shard is not None:

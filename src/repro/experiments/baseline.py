@@ -15,8 +15,8 @@ levels:
 The store key (:func:`baseline_key`) digests a format version, every
 ``ExperimentConfig`` field, the source of the training path
 (:func:`training_code_digest`) and the numpy version; editing the training
-code or the config therefore invalidates the entry.  Engine, backend, dtype
-and lane settings never enter the key -- they do not change the trained
+code or the config therefore invalidates the entry.  Engine, backend and
+dtype settings never enter the key -- they do not change the trained
 bits.  An entry holds the state arrays, their ``state_token`` (checked on
 read), the baseline accuracy and the train loader's post-training shuffle
 RNG state, which a hit restores: the mitigation cells shuffle

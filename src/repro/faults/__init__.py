@@ -33,8 +33,6 @@ from .fault_map import (
     single_bit_fault_map,
 )
 from .injection import (
-    BatchedFaultInjector,
-    BatchedTransientFaultInjector,
     FaultInjector,
     TransientFaultInjector,
     build_faulty_array,
@@ -99,8 +97,6 @@ __all__ = [
     "schedule_from_process",
     "schedule_phases",
     "single_bit_fault_map",
-    "BatchedFaultInjector",
-    "BatchedTransientFaultInjector",
     "FaultInjector",
     "TransientFaultInjector",
     "build_faulty_array",

@@ -18,13 +18,12 @@ All three sweeps are thin wrappers over the
 :class:`~repro.faults.campaign.CampaignPoint` objects (with the same
 deterministic seed derivation the sweeps have always used) and executed by
 the selected engine.  The default ``"fused"`` engine simulates all of a
-point's fault maps in one no-autograd pass with clean-prefix sharing; it
-and the ``"batched"`` autograd pass produce records bit-identical to the
-``"sequential"`` reference (``dtype="float32"`` relaxes that to a
-tolerance for speed).  ``workers``, ``shard``, ``trial_chunk`` and
-``progress`` route the sweep through the sharded orchestrator
-(:mod:`repro.faults.orchestrator`) for parallel, resumable and
-multi-machine execution with unchanged records.
+point's fault maps in one no-autograd pass with clean-prefix sharing and
+produces records bit-identical to the ``"sequential"`` autograd reference
+(``dtype="float32"`` relaxes that to a tolerance for speed).  ``workers``,
+``shard``, ``trial_chunk`` and ``progress`` route the sweep through the
+sharded orchestrator (:mod:`repro.faults.orchestrator`) for parallel,
+resumable and multi-machine execution with unchanged records.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def baseline_accuracy(model, loader) -> float:
 
 def _make_runner(model, loader, fmt: FixedPointFormat, engine: str,
                  workers: int, cache_dir, dtype: str, shard, trial_chunk,
-                 progress, lane_threads=None, plan_cache=True,
+                 progress, plan_cache=True,
                  unit_timeout=None, bypass=False,
                  backend=None) -> CampaignRunner:
     return CampaignRunner(model, loader, fmt=fmt, engine=engine,
@@ -69,8 +68,8 @@ def _make_runner(model, loader, fmt: FixedPointFormat, engine: str,
                           bypass=bypass,
                           shard=shard, trial_chunk=trial_chunk,
                           unit_timeout=unit_timeout,
-                          progress=progress, lane_threads=lane_threads,
-                          plan_cache=plan_cache, backend=backend)
+                          progress=progress, plan_cache=plan_cache,
+                          backend=backend)
 
 
 def _normalize_fault_model(fault_model: str, fault_params) -> tuple:
@@ -168,7 +167,6 @@ def sweep_bit_locations(model, loader, *,
                         shard=None,
                         trial_chunk=None,
                         progress=None,
-                        lane_threads=None,
                         plan_cache=True,
                         unit_timeout=None,
                         fault_model: str = "stuck_at",
@@ -186,8 +184,8 @@ def sweep_bit_locations(model, loader, *,
     """
 
     runner = _make_runner(model, loader, fmt, engine, workers, cache_dir,
-                          dtype, shard, trial_chunk, progress, lane_threads,
-                          plan_cache, unit_timeout, bypass, backend)
+                          dtype, shard, trial_chunk, progress, plan_cache,
+                          unit_timeout, bypass, backend)
     points = bit_sweep_points(
         rows=rows, cols=cols, bit_positions=bit_positions,
         stuck_types=stuck_types, num_faulty=num_faulty, trials=trials,
@@ -221,7 +219,6 @@ def sweep_faulty_pe_count(model, loader, *,
                           shard=None,
                           trial_chunk=None,
                           progress=None,
-                          lane_threads=None,
                           plan_cache=True,
                           unit_timeout=None,
                           fault_model: str = "stuck_at",
@@ -240,8 +237,8 @@ def sweep_faulty_pe_count(model, loader, *,
     if bit_position is None:
         bit_position = fmt.magnitude_msb
     runner = _make_runner(model, loader, fmt, engine, workers, cache_dir,
-                          dtype, shard, trial_chunk, progress, lane_threads,
-                          plan_cache, unit_timeout, bypass, backend)
+                          dtype, shard, trial_chunk, progress, plan_cache,
+                          unit_timeout, bypass, backend)
     points = pe_count_points(
         rows=rows, cols=cols, counts=counts, bit_position=bit_position,
         trials=trials, stuck_type=stuck_type, dataset=dataset, seed=seed,
@@ -287,7 +284,6 @@ def sweep_array_sizes(model, loader, *,
                       shard=None,
                       trial_chunk=None,
                       progress=None,
-                      lane_threads=None,
                       plan_cache=True,
                       unit_timeout=None,
                       fault_model: str = "stuck_at",
@@ -305,8 +301,8 @@ def sweep_array_sizes(model, loader, *,
     if bit_position is None:
         bit_position = fmt.magnitude_msb
     runner = _make_runner(model, loader, fmt, engine, workers, cache_dir,
-                          dtype, shard, trial_chunk, progress, lane_threads,
-                          plan_cache, unit_timeout, bypass, backend)
+                          dtype, shard, trial_chunk, progress, plan_cache,
+                          unit_timeout, bypass, backend)
     points = array_size_points(
         sizes=sizes, bit_position=bit_position, num_faulty=num_faulty,
         trials=trials, stuck_type=stuck_type, dataset=dataset, seed=seed,

@@ -14,10 +14,9 @@ explicit object model:
   plan (:class:`repro.snn.inference.FusedFaultEngine`): all of a point's
   fault maps run in one vectorised pass with fused elementwise kernels and
   clean-prefix sharing across maps that have not yet diverged, plus an
-  optional ``dtype="float32"`` fast mode.  The ``"batched"`` engine is the
-  autograd multi-map pass of PR 1 and the ``"sequential"`` engine the
-  one-map-per-inference reference; all three produce bit-identical float64
-  records.
+  optional ``dtype="float32"`` fast mode.  The ``"sequential"`` engine is
+  the one-map-per-inference autograd reference; both produce bit-identical
+  float64 records.
   Results are cached on disk as JSON keyed by (model hash, data hash, grid
   point); a cache hit skips the simulation entirely.
 
@@ -71,7 +70,7 @@ __all__ = [
 logger = get_logger("faults.campaign")
 
 #: Execution engines understood by :class:`CampaignRunner`.
-ENGINES = ("fused", "batched", "sequential")
+ENGINES = ("fused", "sequential")
 
 #: Evaluation dtypes understood by the fused engine.
 DTYPES = ("float64", "float32")
@@ -456,9 +455,8 @@ class CampaignRunner:
     engine:
         ``"fused"`` (default) lowers the model to the no-autograd inference
         plan and simulates all of a point's fault maps in one pass with
-        clean-prefix sharing; ``"batched"`` is the autograd multi-map pass;
-        ``"sequential"`` runs one autograd inference per map.  All three
-        produce bit-identical float64 records.
+        clean-prefix sharing; ``"sequential"`` runs one autograd inference
+        per map.  Both produce bit-identical float64 records.
     dtype:
         ``"float64"`` (default) or ``"float32"``; the latter requires the
         fused engine and trades bit-identity for speed (records then carry
@@ -470,7 +468,8 @@ class CampaignRunner:
         model hash, the data hash and the full grid point, so stale hits are
         impossible as long as those inputs define the result.
     workers:
-        Worker processes for cross-unit parallelism (1 = serial).  With
+        Worker processes for cross-unit parallelism (1 = serial; values
+        below 1 raise ``ValueError``).  With
         ``workers > 1`` the sweep runs on the
         :class:`~repro.faults.orchestrator.CampaignOrchestrator` pool:
         a work-stealing queue of (point, trial-chunk) units with crash
@@ -495,25 +494,13 @@ class CampaignRunner:
     progress:
         Optional callable receiving the orchestrator's structured progress
         events (per-unit timing, retries, ETA); parent process only.
-    lane_threads:
-        Fork-lane thread count of the fused engine: the per-step fork work
-        of a pass's fault maps is split into that many thread-parallel
-        lanes (bit-identical for every value, so it never enters cache
-        keys).  ``None`` (default) resolves ``REPRO_LANE_THREADS`` -- but
-        inside an orchestrated pool (``workers > 1``) an unset knob
-        defaults to one lane per worker, so the fork pool and the thread
-        pool compose without oversubscribing the machine.  An explicit
-        value is honoured everywhere; ``0`` auto-sizes lanes per engine
-        from the forked-map count and ``os.cpu_count()``.  Non-default
-        values require the fused engine.
     backend:
         Kernel backend of the fused engine (``None`` resolves
         ``REPRO_BACKEND``, default ``"numpy"``).  Resolved once here in
         the parent process -- orchestrated workers inherit the resolved
         name, never re-consult the environment.  float64 records are
         byte-identical across backends (the numpy path is the oracle), so
-        the backend never enters cache keys -- exactly the
-        ``lane_threads`` rule.  Requires the fused engine.
+        the backend never enters cache keys.  Requires the fused engine.
     plan_cache:
         Per-process cache of the lowered inference plan, keyed by the
         model token.  ``True`` (default) uses the process-wide
@@ -539,7 +526,6 @@ class CampaignRunner:
                  trial_chunk: Optional[int] = None,
                  unit_timeout: Optional[float] = None,
                  progress: Optional[Callable[[dict], None]] = None,
-                 lane_threads: Optional[int] = None,
                  plan_cache=True,
                  backend: Optional[str] = None) -> None:
         if engine not in ENGINES:
@@ -548,14 +534,9 @@ class CampaignRunner:
             raise ValueError(f"unknown dtype '{dtype}'; options: {DTYPES}")
         if dtype != "float64" and engine != "fused":
             raise ValueError("dtype='float32' requires the fused engine")
-        if lane_threads is not None:
-            lane_threads = int(lane_threads)
-            if lane_threads < 0:
-                raise ValueError(
-                    "lane_threads must be >= 0 (0 = auto-size)")
-            if lane_threads != 1 and engine != "fused":
-                raise ValueError(
-                    "lane_threads overrides require the fused engine")
+        workers = int(workers)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1; got {workers}")
         if backend is not None and engine != "fused":
             raise ValueError("backend overrides require the fused engine")
         if engine == "fused":
@@ -574,7 +555,7 @@ class CampaignRunner:
         self.dtype = dtype
         self.bypass = bool(bypass)
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
-        self.workers = int(workers)
+        self.workers = workers
         self.max_batched_maps = int(max_batched_maps)
         if shard is not None:
             from .orchestrator import ShardSpec
@@ -584,13 +565,6 @@ class CampaignRunner:
         self.trial_chunk = None if trial_chunk is None else int(trial_chunk)
         self.unit_timeout = None if unit_timeout is None else float(unit_timeout)
         self.progress = progress
-        self.lane_threads = lane_threads
-        # Fork-pool composition: an *unset* knob must not resolve
-        # REPRO_LANE_THREADS inside a pool whose workers already own the
-        # cores -- forked workers then run one lane each.  Explicit values
-        # pass through (workers x lane_threads is the user's call).
-        self._effective_lane_threads = (
-            1 if lane_threads is None and self.workers > 1 else lane_threads)
         if plan_cache is True:
             from ..snn.inference import default_plan_cache
 
@@ -668,13 +642,18 @@ class CampaignRunner:
                 "schedules (bypassing a PE for the whole inference would "
                 "mask its clean steps too)")
 
+    def _evaluate_maps(self, maps: Sequence[FaultMap]) -> List[float]:
+        return evaluate_with_faults_batched(
+            self.model, self.loader, fault_maps=maps, bypass=self.bypass,
+            fmt=self.fmt, dtype=self.dtype, plan_cache=self.plan_cache,
+            plan_token=self._model_token, backend=self.backend)
+
     def _evaluate_transient(self, schedules: Sequence[FaultSchedule]
                             ) -> List[float]:
         return evaluate_with_transient_faults(
             self.model, self.loader, schedules, fmt=self.fmt,
             engine=self.engine, dtype=self.dtype,
             plan_cache=self.plan_cache, plan_token=self._model_token,
-            lane_threads=self._effective_lane_threads,
             backend=self.backend)
 
     def _evaluate_point(self, point: CampaignPoint) -> dict:
@@ -683,16 +662,8 @@ class CampaignRunner:
         self._check_transient_point(point)
         if point.fault_model == "transient":
             accuracies = self._evaluate_transient(point.build_schedules(self.fmt))
-        elif self.engine in ("fused", "batched"):
-            maps = point.build_fault_maps(self.fmt)
-            accuracies = evaluate_with_faults_batched(
-                self.model, self.loader, fault_maps=maps,
-                bypass=self.bypass, fmt=self.fmt,
-                engine="fused" if self.engine == "fused" else "autograd",
-                dtype=self.dtype, plan_cache=self.plan_cache,
-                plan_token=self._model_token,
-                lane_threads=self._effective_lane_threads,
-                backend=self.backend)
+        elif self.engine == "fused":
+            accuracies = self._evaluate_maps(point.build_fault_maps(self.fmt))
         else:
             maps = point.build_fault_maps(self.fmt)
             accuracies = [
@@ -737,14 +708,7 @@ class CampaignRunner:
                 if transient:
                     accuracies = self._evaluate_transient(merged)
                 else:
-                    accuracies = evaluate_with_faults_batched(
-                        self.model, self.loader, fault_maps=merged,
-                        bypass=self.bypass, fmt=self.fmt,
-                        engine="fused" if self.engine == "fused" else "autograd",
-                        dtype=self.dtype, plan_cache=self.plan_cache,
-                        plan_token=self._model_token,
-                        lane_threads=self._effective_lane_threads,
-                        backend=self.backend)
+                    accuracies = self._evaluate_maps(merged)
                 offset = 0
                 for index, items in chunk:
                     results[index] = self._record_for(
@@ -803,7 +767,7 @@ class CampaignRunner:
 
         if missing:
             missing_points = [points[i] for i in missing]
-            if self.engine in ("fused", "batched"):
+            if self.engine == "fused":
                 computed = self._evaluate_points_merged(missing_points)
             else:
                 computed = [self._evaluate_point(point) for point in missing_points]

@@ -30,7 +30,7 @@ from .backends import (
     register_backend,
     resolve_backend_name,
 )
-from .engine import FusedFaultEngine, FusedInferenceEngine, resolve_lane_threads
+from .engine import FusedFaultEngine, FusedInferenceEngine
 from .plan_cache import PlanCache, default_plan_cache
 from .plan import (
     AffineSpec,
@@ -64,5 +64,4 @@ __all__ = [
     "lower_plan",
     "register_backend",
     "resolve_backend_name",
-    "resolve_lane_threads",
 ]

@@ -26,30 +26,11 @@ Both engines additionally cache the *static prefix* (the stateless ops
 before the first spiking layer) per batch: for static inputs those
 activations are identical at every time step, so e.g. the spike-encoder
 convolution runs once instead of ``T`` times.
-
-**Lane parallelism.**  :class:`FusedFaultEngine` can split the forked maps
-into ``lane_threads`` contiguous *lanes* of the fork order and execute the
-per-step fork work of the lanes on a thread pool (numpy releases the GIL
-inside its GEMMs, so lanes genuinely overlap).  This is bit-safe where
-internal re-batching is not: a stacked ``(F, batch, k) @ (k, n)`` matmul
-evaluates each leading slice as an independent 2D GEMM, every non-affine
-kernel is elementwise over the leading axes, and fault chains scatter to
-disjoint (map, column) slices -- so partitioning the fault-map axis into
-lanes can never change any map's bits, whereas folding maps into the BLAS
-row dimension would.  Each lane owns its kernels (and therefore its
-preallocated neuron-state/scratch buffers -- no sharing, no false sharing)
-and accumulates into its own rate buffer; the final reduction writes each
-lane's rates into the map slots preassigned at construction, so thread
-scheduling cannot reorder results.  ``lane_threads`` defaults to the
-``REPRO_LANE_THREADS`` environment variable (falling back to 1 -- the
-single-lane structure is exactly the serial engine).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,29 +41,7 @@ from .backends.ops_numpy import NeuronKernel
 from .faulty_gemm import FaultyAffineRunner
 from .plan import SUPPORTED_DTYPES, AffineSpec, InferencePlan, lower_plan
 
-__all__ = ["FusedInferenceEngine", "FusedFaultEngine", "resolve_lane_threads"]
-
-
-def resolve_lane_threads(value: Optional[int] = None) -> int:
-    """Resolve a lane-thread count, defaulting to ``REPRO_LANE_THREADS``.
-
-    ``None`` reads the environment variable (default 1).  ``0`` is the
-    *auto* sentinel: the fault engine sizes its lanes from the fork-order
-    length and ``os.cpu_count()`` at construction (byte-identity holds at
-    any lane count, so auto-sizing is always safe).  A non-integer or
-    negative request raises.
-    """
-
-    if value is None:
-        value = os.environ.get("REPRO_LANE_THREADS", "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"lane_threads must be an integer; got {value!r}") from None
-    if threads < 0:
-        raise ValueError(
-            f"lane_threads must be >= 0 (0 = auto-size); got {threads}")
-    return threads
+__all__ = ["FusedInferenceEngine", "FusedFaultEngine"]
 
 
 def _check_dtype(dtype) -> np.dtype:
@@ -199,7 +158,7 @@ class FusedInferenceEngine:
 
 
 class _AffineExec:
-    """Precomputed per-affine-layer execution state of one fork lane."""
+    """Precomputed per-affine-layer execution state of the fork lane."""
 
     __slots__ = ("spec", "runner", "num_prev", "num_active")
 
@@ -208,24 +167,6 @@ class _AffineExec:
         self.runner = runner
         self.num_prev = num_prev
         self.num_active = num_active
-
-
-class _Lane:
-    """One contiguous slice of the fork order, executed independently.
-
-    A lane owns its affine runners (built on subset arrays holding only
-    its maps), its fork-lane kernels (and therefore its preallocated
-    neuron-state buffers -- per-lane scratch, nothing shared between
-    threads) and the ``fork_order`` positions its rates are written to.
-    """
-
-    __slots__ = ("maps", "start", "layers", "kernels")
-
-    def __init__(self, maps, start, layers, kernels) -> None:
-        self.maps = maps          # global map indices, fork order
-        self.start = start        # first op index with a fork in this lane
-        self.layers = layers      # [phase][affine ordinal]: Optional[_AffineExec]
-        self.kernels = kernels    # per op index: fork kernel or None
 
 
 class FusedFaultEngine:
@@ -249,21 +190,13 @@ class FusedFaultEngine:
         :class:`FusedInferenceEngine`.
     plan_token:
         Optional precomputed model token for the cache lookup.
-    lane_threads:
-        Fork-lane thread count; ``None`` (default) resolves
-        ``REPRO_LANE_THREADS`` (falling back to 1).  With ``n > 1`` the
-        forked maps are split into ``min(n, forked)`` contiguous lanes of
-        the fork order and each time step's lane work runs on a thread
-        pool.  ``0`` auto-sizes: ``min(forked, os.cpu_count())`` lanes.
-        Results are bit-identical for every thread count (see the
-        module docstring); 1 keeps the engine single-threaded.
     schedules:
         One :class:`~repro.faults.fault_map.FaultSchedule` per map for
         *transient* faults, instead of ``arrays`` (exactly one of the two
         must be given).  The per-step live-fault signatures are deduped
         into phases; each map forks at the first layer its fault *union*
-        can touch, and the lane runners are swapped per phase, so results
-        stay bit-identical to the step-by-step sequential oracle.
+        can touch, and the fork-lane runners are swapped per phase, so
+        results stay bit-identical to the step-by-step sequential oracle.
     fmt:
         Accumulator format for the transient path; defaults to the
         schedules' pinned format (required when the schedules do not pin
@@ -272,14 +205,12 @@ class FusedFaultEngine:
         Kernel backend name (or instance); ``None`` resolves
         ``REPRO_BACKEND`` falling back to ``"numpy"``.  Float64 results
         are byte-identical across backends (the numpy path is the oracle),
-        so the backend never enters campaign cache keys -- exactly the
-        ``lane_threads`` rule.
+        so the backend never enters campaign cache keys.
     """
 
     def __init__(self, model, arrays: Optional[Sequence[SystolicArray]] = None,
                  dtype: str = "float64", plan_cache=None,
                  plan_token: Optional[str] = None,
-                 lane_threads: Optional[int] = None,
                  schedules=None, fmt=None, backend=None) -> None:
         if (arrays is None) == (schedules is None):
             raise ValueError(
@@ -290,15 +221,14 @@ class FusedFaultEngine:
             if plan_cache is not None else lower_plan(model))
         self.dtype = _check_dtype(dtype)
         self.backend = backend if hasattr(backend, "make_kernel") else get_backend(backend)
-        self.lane_threads = resolve_lane_threads(lane_threads)
         affine_specs = self.plan.affine_specs
         ops = self.plan.ops
 
         if schedules is not None:
             # Transient path: dedup the joint per-step live-fault signatures
-            # into phases.  Fork structure (divergence, lanes, stash points)
-            # is computed on each schedule's *union* map -- every fault
-            # treated as permanent -- so a map's fork point never moves
+            # into phases.  Fork structure (divergence, fork order, stash
+            # points) is computed on each schedule's *union* map -- every
+            # fault treated as permanent -- so a map's fork point never moves
             # between phases; within a phase where a fault is dormant, the
             # simulator's per-slice dense product is the sequential clean
             # GEMM, keeping bits identical to the step-by-step oracle.
@@ -328,7 +258,6 @@ class FusedFaultEngine:
             phase_arrays = [arrays]
             structure_arrays = arrays
         self.num_maps = len(structure_arrays)
-        num_phases = len(phase_arrays)
 
         # First affine ordinal whose GEMM each map's faults corrupt.  Each
         # map is probed through a single-map BatchedSystolicArray so the
@@ -353,105 +282,45 @@ class FusedFaultEngine:
             op.index: i for i, op in enumerate(ops) if isinstance(op, AffineSpec)}
         self._stash_ops = {op_of_affine[k] for k in fork_ordinals}
 
-        # Contiguous lane partition of the fork order.  One lane reproduces
-        # the serial engine exactly; more lanes split the per-step fork work
-        # into independent threads (per-slice GEMMs, elementwise kernels and
-        # disjoint chain scatters make any partition bit-identical).  The
-        # auto sentinel (0) sizes from the work actually available.
-        requested = self.lane_threads
-        if requested == 0:
-            requested = max(1, min(len(self.fork_order), os.cpu_count() or 1))
-            self.lane_threads = requested
-        n_lanes = min(requested, len(self.fork_order))
-        bounds = np.linspace(0, len(self.fork_order), n_lanes + 1).astype(int)
+        # Fork-lane affine runners: layers[phase][ordinal].  The fork
+        # structure (active maps and their order) is phase-independent --
+        # only the arrays backing the runners change with the live-fault
+        # phase.  Ordinals sharing an active set share one subset array.
         subset_cache = {}
-        self._lanes: List[_Lane] = []
-        for lane_index in range(n_lanes):
-            maps = self.fork_order[bounds[lane_index]:bounds[lane_index + 1]]
-            # layers[phase][ordinal]: the fork structure (active maps and
-            # their order) is phase-independent -- only the arrays backing
-            # the runners change with the live-fault phase.
-            layers: List[List[Optional[_AffineExec]]] = [
-                [] for _ in range(num_phases)]
-            for spec in affine_specs:
-                k = spec.index
-                active = [f for f in maps if self._divergence[f] <= k]
+        self.layers: List[List[Optional[_AffineExec]]] = [
+            [] for _ in phase_arrays]
+        for spec in affine_specs:
+            k = spec.index
+            active = [f for f in self.fork_order if self._divergence[f] <= k]
+            prev = sum(1 for f in self.fork_order if self._divergence[f] < k)
+            for phase, layers in enumerate(self.layers):
                 if not active:
-                    for phase in range(num_phases):
-                        layers[phase].append(None)
+                    layers.append(None)
                     continue
-                prev = sum(1 for f in maps if self._divergence[f] < k)
-                key = tuple(active)
-                for phase in range(num_phases):
-                    subset = subset_cache.get((phase, key))
-                    if subset is None:
-                        subset = BatchedSystolicArray(
-                            [phase_arrays[phase][f] for f in active])
-                        subset_cache[(phase, key)] = subset
-                    runner = FaultyAffineRunner(
-                        subset, subset.prepare_weight(spec.weight), spec,
-                        backend=self.backend)
-                    layers[phase].append(
-                        _AffineExec(spec, runner, prev, len(active)))
-            start = op_of_affine[min(self._divergence[f] for f in maps)]
-            # Fork-lane activations keep an explicit leading fault-map axis
-            # ((F_lane, batch, ...)); elementwise arithmetic is unchanged but
-            # the batched conv outputs never need a (costly) re-fold copy.
-            # Each lane gets its own kernels, so neuron state and scratch
-            # buffers are lane-private -- threads never share a buffer.
-            kernels = [None if isinstance(op, AffineSpec) or i < start
-                       else self.backend.make_kernel(op, self.dtype,
-                                                     batch_ndim=2)
-                       for i, op in enumerate(ops)]
-            self._lanes.append(_Lane(maps, start, layers, kernels))
+                key = (phase, tuple(active))
+                subset = subset_cache.get(key)
+                if subset is None:
+                    subset = subset_cache[key] = BatchedSystolicArray(
+                        [phase_arrays[phase][f] for f in active])
+                runner = FaultyAffineRunner(
+                    subset, subset.prepare_weight(spec.weight), spec,
+                    backend=self.backend)
+                layers.append(_AffineExec(spec, runner, prev, len(active)))
+        #: First op index with fork work (past the end when nothing forks).
+        self._fork_start = (
+            op_of_affine[self._divergence[self.fork_order[0]]]
+            if self.fork_order else len(ops))
+        # Fork-lane activations keep an explicit leading fault-map axis
+        # ((F_forked, batch, ...)); elementwise arithmetic is unchanged but
+        # the batched conv outputs never need a (costly) re-fold copy.
+        self.kernels = [None if isinstance(op, AffineSpec) or i < self._fork_start
+                        else self.backend.make_kernel(op, self.dtype, batch_ndim=2)
+                        for i, op in enumerate(ops)]
 
         self._clean = [self.backend.make_kernel(op, self.dtype,
                                                 affine_mode="array")
                        for op in ops]
         self._prefix = self.plan.static_prefix
-        # Lane pool: lane 0 always runs on the calling thread, so the pool
-        # only needs n_lanes - 1 workers.  Created lazily on the first
-        # multi-lane run; close() (or garbage collection) reaps it.
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the lane thread pool (idempotent; pool is rebuilt on use)."""
-
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "FusedFaultEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        executor = getattr(self, "_executor", None)
-        if executor is not None:
-            executor.shutdown(wait=False)
-
-    def _map_lanes(self, fn: Callable[[int], object]) -> List[object]:
-        """Run ``fn`` over lane indices, threaded when more than one lane.
-
-        Results come back indexed by lane, so callers' reductions are
-        deterministic regardless of thread scheduling.
-        """
-
-        n_lanes = len(self._lanes)
-        if n_lanes <= 1:
-            return [fn(index) for index in range(n_lanes)]
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=n_lanes - 1, thread_name_prefix="repro-lane")
-        futures = [self._executor.submit(fn, index)
-                   for index in range(1, n_lanes)]
-        results = [fn(0)]
-        for future in futures:
-            results.append(future.result())
-        return results
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -507,22 +376,18 @@ class FusedFaultEngine:
         return None
 
     def _reset_state(self) -> None:
-        for kernel in self._clean:
+        for kernel in self._clean + self.kernels:
             if isinstance(kernel, NeuronKernel):
                 kernel.reset()
-        for lane in self._lanes:
-            for kernel in lane.kernels:
-                if isinstance(kernel, NeuronKernel):
-                    kernel.reset()
 
     # ------------------------------------------------------------------
     def _fork_affine(self, layer: _AffineExec, x_c: Optional[np.ndarray],
                      x_v: Optional[np.ndarray]) -> np.ndarray:
-        """Run one corrupted affine layer for a lane's maps forked so far.
+        """Run one corrupted affine layer for the maps forked so far.
 
         Maps forking *at* this layer enter with the clean activations; maps
         forked earlier carry their own slice of the fork lane.  The result
-        keeps the leading ``(F_lane, batch, ...)`` fault-map axis.
+        keeps the leading ``(F_forked, batch, ...)`` fault-map axis.
         """
 
         spec = layer.spec
@@ -530,8 +395,8 @@ class FusedFaultEngine:
         shared = layer.num_prev == 0
         if shared:
             # Everyone forks here: hand the runner the shared clean
-            # activations so the dense product is computed once (the exact
-            # fan-out semantics of the autograd batched injector).
+            # activations so the dense product is computed once and
+            # replicated across the maps.
             x_in = x_c
         else:
             x_in = x_v
@@ -551,10 +416,9 @@ class FusedFaultEngine:
         """Advance the clean lane, stashing fork-entry activations.
 
         ``stash[i]`` receives the clean *input* of every affine op ``i``
-        some map forks at; the lanes read those activations afterwards.
+        some map forks at; the fork lane reads those activations afterwards.
         The references stay valid for the whole step: a clean kernel's
-        output buffer is only overwritten the next time that kernel runs,
-        and lanes are joined before the next step's clean pass starts.
+        output buffer is only overwritten the next time that kernel runs.
         """
 
         ops = self.plan.ops
@@ -569,29 +433,28 @@ class FusedFaultEngine:
                 x_c = self._clean[i].run(x_c)
         return x_c
 
-    def _run_lane(self, lane: _Lane, x_v: Optional[np.ndarray], start: int,
-                  stop: int, stash: Dict[int, np.ndarray], phase: int
+    def _run_fork(self, x_v: Optional[np.ndarray], start: int, stop: int,
+                  stash: Dict[int, np.ndarray], phase: int
                   ) -> Optional[np.ndarray]:
-        """Advance one lane's fork activations over ops ``[start, stop)``."""
+        """Advance the fork-lane activations over ops ``[start, stop)``."""
 
         ops = self.plan.ops
-        layers = lane.layers[phase]
-        for i in range(max(start, lane.start), stop):
+        layers = self.layers[phase]
+        for i in range(max(start, self._fork_start), stop):
             op = ops[i]
             if isinstance(op, AffineSpec):
                 layer = layers[op.index]
                 if layer is not None:
                     x_v = self._fork_affine(layer, stash.get(i), x_v)
             elif x_v is not None:
-                x_v = lane.kernels[i].run(x_v)
+                x_v = self.kernels[i].run(x_v)
         return x_v
 
     def run(self, inputs) -> np.ndarray:
         """Per-map firing rates of shape ``(F, batch, num_classes)``.
 
         ``result[f]`` is bit-identical (float64) to the autograd forward
-        with the model's affine layers routed through ``arrays[f]``,
-        independent of ``lane_threads``.
+        with the model's affine layers routed through ``arrays[f]``.
         """
 
         x0 = np.asarray(inputs, dtype=self.dtype)
@@ -600,9 +463,9 @@ class FusedFaultEngine:
         n_ops = len(self.plan.ops)
         self._reset_state()
         acc_c: Optional[np.ndarray] = None
-        lane_accs: List[Optional[np.ndarray]] = [None] * len(self._lanes)
+        acc_v: Optional[np.ndarray] = None
         cached_clean: Optional[Tuple] = None
-        cached_lane: Dict[int, List] = {}
+        cached_fork: Dict[int, Optional[np.ndarray]] = {}
         steps = 0
         for frame in _iter_frames(x0, self.plan.time_steps):
             phase = self._phase_for_step(steps)
@@ -610,57 +473,45 @@ class FusedFaultEngine:
                 x_c0, prefix_stash = cached_clean
             else:
                 # The prefix is stateless, so for static inputs it runs
-                # once (the clean prefix is phase-independent; lane prefix
-                # outputs are cached per live-fault phase below).
+                # once (the clean prefix is phase-independent; fork-lane
+                # prefix outputs are cached per live-fault phase below).
                 prefix_stash: Dict[int, np.ndarray] = {}
                 x_c0 = self._run_clean(frame, 0, self._prefix, prefix_stash)
                 if static:
                     cached_clean = (x_c0, prefix_stash)
-            lane_x0 = cached_lane.get(phase) if static else None
-            if lane_x0 is None:
-                lane_x0 = self._map_lanes(
-                    lambda index: self._run_lane(self._lanes[index], None, 0,
-                                                 self._prefix, prefix_stash,
-                                                 phase))
+            if static and phase in cached_fork:
+                x_v0 = cached_fork[phase]
+            else:
+                x_v0 = self._run_fork(None, 0, self._prefix, prefix_stash, phase)
                 if static:
-                    cached_lane[phase] = lane_x0
-            # Serial clean pass first (it produces the fork-entry
-            # activations), then every lane's tail in parallel.  Each lane
-            # accumulates into its own slot, so the reduction order is
-            # fixed at construction, not by thread scheduling.
+                    cached_fork[phase] = x_v0
+            # Clean pass first: it produces the fork-entry activations.
             stash: Dict[int, np.ndarray] = {}
             x_c = self._run_clean(x_c0, self._prefix, n_ops, stash)
-            step = steps
-            lane_inputs = lane_x0
-
-            def lane_tail(index: int) -> None:
-                x_v = self._run_lane(self._lanes[index], lane_inputs[index],
-                                     self._prefix, n_ops, stash, phase)
-                acc = lane_accs[index]
-                if step == 0 or acc is None:
-                    lane_accs[index] = x_v.astype(self.dtype, copy=True)
+            if self.fork_order:
+                x_v = self._run_fork(x_v0, self._prefix, n_ops, stash, phase)
+                if acc_v is None:
+                    acc_v = x_v.astype(self.dtype, copy=True)
                 else:
-                    np.add(acc, x_v, out=acc)
-
-            self._map_lanes(lane_tail)
+                    np.add(acc_v, x_v, out=acc_v)
             if x_c is not None:
-                if steps == 0 or acc_c is None:
+                if acc_c is None:
                     acc_c = x_c.astype(self.dtype, copy=True)
                 else:
                     np.add(acc_c, x_c, out=acc_c)
             steps += 1
 
         scale = 1.0 / steps
-        reference = acc_c if acc_c is not None else lane_accs[0]
+        reference = acc_c if acc_c is not None else acc_v
         num_classes = reference.shape[-1]
         rates = self.backend.empty((self.num_maps, batch, num_classes),
                                    dtype=self.dtype)
         if acc_c is not None:
             np.multiply(acc_c, scale, out=acc_c)
-        for lane, acc in zip(self._lanes, lane_accs):
-            np.multiply(acc, scale, out=acc)
-            for position, map_index in enumerate(lane.maps):
-                rates[map_index] = acc[position]
+        if acc_v is not None:
+            np.multiply(acc_v, scale, out=acc_v)
+            for position, map_index in enumerate(self.fork_order):
+                rates[map_index] = acc_v[position]
         forked = set(self.fork_order)
         for map_index in range(self.num_maps):
             if map_index not in forked:

@@ -66,8 +66,8 @@ def apply_weight_faults(weight_matrix: np.ndarray, sites: Sequence[FaultSite],
     element masks are disjoint (one PE per site), so the order cannot
     change the result, but pinning it keeps every execution path
     byte-identical by construction.  This single function is the one
-    implementation shared by the sequential oracle and the batched /
-    fused engines.
+    implementation shared by the sequential oracle and the batched
+    simulator behind the fused engine.
     """
 
     if not sites:
@@ -294,7 +294,7 @@ class SystolicArray:
                     stop = site.row + 1
                     # Segment selected by zeroing the complement: every
                     # segment product keeps the full (batch, tile_rows) GEMM
-                    # geometry, so the batched engine can evaluate stacked
+                    # geometry, so the batched simulator can evaluate stacked
                     # chains with one matmul and stay bit-identical.
                     w_segment = np.zeros((tile_rows, out_idx.size))
                     w_segment[start:stop] = w_sel[:, start:stop].T

@@ -21,21 +21,6 @@ and the fused inference engine's :class:`~repro.snn.inference.faulty_gemm
   gather per chunk and tile, one scatter per chunk); all per-group work
   happens on views.
 
-* **Prefix-level batching.**  A chain's non-last tiles all share one site
-  count (the same physical PE-row faults repeat in every full weight tile),
-  so uniform-tile signatures have the form ``(full, ..., full, last)``.
-  Sorting the groups by *descending* signature therefore makes the chains
-  active at any breakpoint level a **prefix** of the permuted chain axis on
-  full tiles -- and a handful of contiguous runs on the (possibly partial)
-  last tile.  The per-call path issues one stacked segment GEMM and one
-  fused force per *(level, run)* instead of one per *(group, level)*, and a
-  single whole-chunk tail GEMM per tile instead of one per group: with many
-  small groups sharing a full-tile site count this collapses the dispatch
-  count by the group count.  The run stacks are the primary storage; the
-  per-group blocks below alias them as views, so carrying both layouts
-  costs no extra memory.  Set ``REPRO_CHAIN_PREFIX_BATCH=0`` (or flip
-  :data:`PREFIX_BATCH_ENABLED`) to fall back to per-group application.
-
 * **Fused stuck-at kernel.**  :class:`StuckAtKernel` performs the
   quantise -> force-bit -> dequantise sequence as one in-place pass over
   the chain block: the float buffer is divided, rounded and clipped in
@@ -76,7 +61,6 @@ benchmark drive both paths and assert ``tobytes()`` equality.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import os
 from typing import Dict, List, Optional, Tuple
@@ -85,11 +69,8 @@ import numpy as np
 
 __all__ = [
     "FASTPATH_ENABLED",
-    "PREFIX_BATCH_ENABLED",
     "GroupBlock",
     "LevelBlock",
-    "LevelRun",
-    "PrefixTile",
     "StuckAtKernel",
     "TileBlock",
     "UniformChainPlan",
@@ -102,14 +83,6 @@ __all__ = [
 #: benchmark flip it to compare against the untiled reference path.
 FASTPATH_ENABLED = os.environ.get("REPRO_CHAIN_FASTPATH", "1").lower() not in (
     "0", "false", "off")
-
-#: Apply chains per (level, contiguous run) across group boundaries instead
-#: of per (group, level).  Initialised from ``REPRO_CHAIN_PREFIX_BATCH``
-#: (default on); only consulted when :data:`FASTPATH_ENABLED` is on.  The
-#: identity suites drive both settings and assert ``tobytes()`` equality.
-PREFIX_BATCH_ENABLED = os.environ.get(
-    "REPRO_CHAIN_PREFIX_BATCH", "1").lower() not in ("0", "false", "off")
-
 
 class StuckAtKernel:
     """Fused vectorised stuck-at forcing for one fixed-point format.
@@ -206,35 +179,6 @@ class GroupBlock:
 
 
 @dataclasses.dataclass
-class LevelRun(LevelBlock):
-    """One maximal contiguous run of chains active at one breakpoint level.
-
-    ``start``/``end`` locate the run on the permuted chain axis.  With the
-    descending-signature sort a full tile has exactly one run per level (a
-    prefix of the axis); the last, possibly partial, tile may split into a
-    few runs.  The run's stacks and masks are the *owning* storage -- the
-    per-group :class:`LevelBlock` views alias slices of them.
-    """
-
-    start: int = 0
-    end: int = 0
-
-
-@dataclasses.dataclass
-class PrefixTile:
-    """One weight tile laid out for prefix-level application.
-
-    ``levels[k]`` lists the contiguous runs of chains whose site count in
-    this tile exceeds ``k``; ``tail_stack`` covers the *whole* permuted
-    chain axis (every chain has a tail segment in every tile), so the tail
-    GEMM runs once per (chunk, tile) regardless of the group count.
-    """
-
-    levels: List[List[LevelRun]]
-    tail_stack: np.ndarray          # (chains, tile_rows, n_out)
-
-
-@dataclasses.dataclass
 class UniformChainPlan:
     """One chain table regrouped into contiguous uniform-tile groups."""
 
@@ -245,10 +189,6 @@ class UniformChainPlan:
     tile_bounds: List[Tuple[int, int]]  # (lo, hi) input rows per weight tile
     groups: List[GroupBlock]
     has_levels: bool
-    prefix_tiles: List[PrefixTile]
-    run_starts: np.ndarray          # (map_runs,) whole-axis same-map runs
-    run_ends: np.ndarray            # (map_runs,)
-    run_maps: np.ndarray            # (map_runs,) fault-map index per run
 
 
 def build_uniform_plan(table, tiles) -> UniformChainPlan:
@@ -258,14 +198,12 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
     :class:`~repro.systolic.array._ChainTable` /
     :class:`~repro.systolic.array._ChainTilePlan` structures; the returned
     plan holds the chains permuted so that every signature group is a
-    contiguous slice, ordered by *descending* signature so each level's
-    active chains form contiguous runs spanning group boundaries (a single
-    prefix on full tiles).  The prefix-level run stacks own the contiguous
-    segment copies and precomputed bit/polarity masks; the per-group blocks
-    alias slices of them, so the per-call path does no mask derivation and
-    carrying both layouts costs no extra memory.  The sort is deterministic,
-    and chains scatter to disjoint output columns, so neither the
-    permutation nor the application order can affect results.
+    contiguous slice, groups in descending signature order.  Each group
+    owns contiguous copies of its segment/tail weight stacks and its
+    precomputed bit/polarity masks, so the per-call path does no mask
+    derivation.  The sort is deterministic, and chains scatter to disjoint
+    output columns, so neither the permutation nor the application order
+    can affect results.
     """
 
     n_chains = len(table.map_ids)
@@ -278,112 +216,49 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
 
     # Descending signature order.  Non-last tiles all carry the chain's
     # full-tile site count, so signatures are (full, ..., full, last) and
-    # the lexicographic sort orders by full count first: every full tile's
-    # level-k active set becomes the prefix of chains with full > k.
+    # the lexicographic sort orders by full count first.
     ordered = sorted(by_signature.items(), key=lambda kv: kv[0], reverse=True)
     permutation: List[int] = []
-    group_bounds: List[Tuple[int, int, tuple]] = []
+    groups: List[GroupBlock] = []
     for signature, members in ordered:
         start = len(permutation)
         permutation.extend(members)
-        group_bounds.append((start, len(permutation), signature))
-    perm = np.asarray(permutation, dtype=np.int64)
-    map_ids = table.map_ids[perm]
-
-    # Prefix-level run stacks: the owning storage for segment/tail copies
-    # and masks.  Runs are maximal contiguous spans of chains active at one
-    # level; a run's uniformity flags cover the whole run, group views
-    # recompute their own below.
-    prefix_tiles: List[PrefixTile] = []
-    has_levels = False
-    for tile in tiles:
-        sites = np.asarray(tile.n_sites, dtype=np.int64)[perm]
-        level_runs: List[List[LevelRun]] = []
-        for level in range(int(sites.max(initial=0))):
-            has_levels = True
-            runs: List[LevelRun] = []
-            run_start = None
-            for position in range(n_chains + 1):
-                active = position < n_chains and sites[position] > level
-                if active and run_start is None:
-                    run_start = position
-                elif not active and run_start is not None:
-                    idx = perm[run_start:position]
-                    stuck_one = (table.stuck2d[idx, level] == 1)
-                    bit_mask = np.left_shift(
-                        np.int64(1), table.bits2d[idx, level])[:, None, None]
-                    all_sa1 = bool(stuck_one.all())
-                    all_sa0 = not stuck_one.any()
-                    runs.append(LevelRun(
-                        w_stack=np.ascontiguousarray(
-                            tile.level_stacks[level][idx]),
-                        bit_mask=bit_mask,
-                        inv_mask=np.bitwise_not(bit_mask),
-                        stuck_one=(None if all_sa1 or all_sa0
-                                   else stuck_one[:, None, None]),
-                        all_sa1=all_sa1,
-                        all_sa0=all_sa0,
-                        start=run_start,
-                        end=position))
-                    run_start = None
-            level_runs.append(runs)
-        prefix_tiles.append(PrefixTile(
-            levels=level_runs,
-            tail_stack=np.ascontiguousarray(tile.tail_stack[perm])))
-
-    # Per-group blocks: views into the run stacks (a uniform group is
-    # entirely inside one run at every level it participates in).
-    groups: List[GroupBlock] = []
-    for start, end, signature in group_bounds:
+        idx = np.asarray(members, dtype=np.int64)
         tile_blocks: List[TileBlock] = []
-        for tile_index in range(len(tiles)):
+        for tile_index, tile in enumerate(tiles):
             levels: List[LevelBlock] = []
-            for level in range(int(signature[tile_index])):
-                runs = prefix_tiles[tile_index].levels[level]
-                run = runs[bisect.bisect_right(
-                    [r.start for r in runs], start) - 1]
-                member = slice(start - run.start, end - run.start)
-                stuck_one = run.stuck_one
-                if stuck_one is None:
-                    all_sa1, all_sa0 = run.all_sa1, run.all_sa0
-                else:
-                    stuck_one = stuck_one[member]
-                    all_sa1 = bool(stuck_one.all())
-                    all_sa0 = not stuck_one.any()
-                    if all_sa1 or all_sa0:
-                        stuck_one = None
+            for level in range(signature[tile_index]):
+                stuck_one = (table.stuck2d[idx, level] == 1)
+                bit_mask = np.left_shift(
+                    np.int64(1), table.bits2d[idx, level])[:, None, None]
+                all_sa1 = bool(stuck_one.all())
+                all_sa0 = not stuck_one.any()
                 levels.append(LevelBlock(
-                    w_stack=run.w_stack[member],
-                    bit_mask=run.bit_mask[member],
-                    inv_mask=run.inv_mask[member],
-                    stuck_one=stuck_one,
+                    w_stack=np.ascontiguousarray(tile.level_stacks[level][idx]),
+                    bit_mask=bit_mask,
+                    inv_mask=np.bitwise_not(bit_mask),
+                    stuck_one=(None if all_sa1 or all_sa0
+                               else stuck_one[:, None, None]),
                     all_sa1=all_sa1,
                     all_sa0=all_sa0))
             tile_blocks.append(TileBlock(
                 levels=levels,
-                tail_stack=prefix_tiles[tile_index].tail_stack[start:end]))
+                tail_stack=np.ascontiguousarray(tile.tail_stack[idx])))
         # Chains arrive map-ascending from the chain tables, so a signature
         # subset keeps consecutive same-map chains adjacent: record the
         # maximal runs for the broadcast-GEMM path.
         map_runs: List[Tuple[int, int, int]] = []
-        group_maps = map_ids[start:end].tolist()
+        group_maps = table.map_ids[idx].tolist()
         run_start = 0
         for position in range(1, len(group_maps) + 1):
             if (position == len(group_maps)
                     or group_maps[position] != group_maps[run_start]):
                 map_runs.append((run_start, position, group_maps[run_start]))
                 run_start = position
-        groups.append(GroupBlock(start=start, end=end,
+        groups.append(GroupBlock(start=start, end=len(permutation),
                                  tiles=tile_blocks, map_runs=map_runs))
-
-    # Whole-axis same-map runs for the prefix path's broadcast-GEMM strategy.
-    if n_chains:
-        edges = np.flatnonzero(np.diff(map_ids)) + 1
-        run_starts = np.concatenate(([0], edges)).astype(np.int64)
-        run_ends = np.concatenate((edges, [n_chains])).astype(np.int64)
-        run_maps = map_ids[run_starts]
-    else:
-        run_starts = run_ends = run_maps = np.zeros(0, dtype=np.int64)
+    perm = np.asarray(permutation, dtype=np.int64)
+    map_ids = table.map_ids[perm]
 
     return UniformChainPlan(
         map_ids=map_ids,
@@ -392,11 +267,7 @@ def build_uniform_plan(table, tiles) -> UniformChainPlan:
         n_out=table.n_out,
         tile_bounds=[(tile.lo, tile.hi) for tile in tiles],
         groups=groups,
-        has_levels=has_levels,
-        prefix_tiles=prefix_tiles,
-        run_starts=run_starts,
-        run_ends=run_ends,
-        run_maps=run_maps)
+        has_levels=bool(signatures.max(initial=0) > 0))
 
 
 #: Batch size from which the non-shared path switches from one gathered
@@ -432,137 +303,9 @@ def apply_chain_plan(plan: UniformChainPlan, inputs: np.ndarray,
     ``output`` is the dense ``(F, batch, out_features)`` product, corrected
     in place.  Chain chunks are bounded by ``block_elements`` exactly as in
     the reference path so wide (folded convolution) batches stay within the
-    memory envelope.  Dispatches to the prefix-level run layout unless
-    :data:`PREFIX_BATCH_ENABLED` is off, in which case chains apply one
-    uniform group at a time; both walk the same arithmetic per chain, so the
-    choice cannot affect results.
+    memory envelope; within a chunk, chains apply one uniform group at a
+    time.
     """
-
-    if PREFIX_BATCH_ENABLED:
-        _apply_prefix_batched(plan, inputs, output, shared, kernel, rows,
-                              block_elements)
-    else:
-        _apply_grouped(plan, inputs, output, shared, kernel, rows,
-                       block_elements)
-
-
-def _apply_prefix_batched(plan: UniformChainPlan, inputs: np.ndarray,
-                          output: np.ndarray, shared: bool,
-                          kernel: StuckAtKernel, rows: int,
-                          block_elements: int) -> None:
-    """Prefix-level application: one GEMM + force per (level, run).
-
-    Per chain the arithmetic is step-for-step the grouped path's: the
-    level-0 segment GEMM writes straight into the chunk accumulator (the
-    grouped path's fresh ``segment`` buffer, relocated), level ``k >= 1``
-    adds ``acc + segment`` in the same operand order, every level forces in
-    place, and the tail adds ``acc + tails``.  Only the *stacking* of
-    independent per-chain GEMMs changes -- per-slice results of a stacked
-    matmul are independent 2D products, so crossing group boundaries cannot
-    change bits.
-    """
-
-    batch = inputs.shape[-2]
-    batch_idx = _batch_idx(batch)
-    n_chains = plan.map_ids.shape[0]
-    n_out = plan.n_out
-    map_ids = plan.map_ids
-    by_view = not shared and batch >= PER_CHAIN_GEMM_BATCH
-    if by_view:
-        # One slice view per (map, tile), hoisted out of the chain loops.
-        tile_views = [
-            [inputs[m, :, lo:hi] for m in range(inputs.shape[0])]
-            for lo, hi in plan.tile_bounds
-        ]
-        run_starts, run_ends, run_maps = (plan.run_starts, plan.run_ends,
-                                          plan.run_maps)
-    block = max(1, block_elements // max(1, batch * max(rows, n_out)))
-    for start in range(0, n_chains, block):
-        stop = min(start + block, n_chains)
-        size = stop - start
-        col_out = np.empty((size, batch, n_out))
-        acc = np.empty((size, batch, n_out)) if plan.has_levels else None
-        raw = (np.empty((size, batch, n_out), dtype=np.int64)
-               if plan.has_levels else None)
-        for tile_index, (lo, hi) in enumerate(plan.tile_bounds):
-            tile = plan.prefix_tiles[tile_index]
-            if shared:
-                x_chunk = inputs[:, lo:hi]
-            elif by_view:
-                x_chunk = None     # per-map-run views below, no gather
-            else:
-                # One gather per (chunk, tile); runs below take views.
-                x_chunk = inputs[map_ids[start:stop], :, lo:hi]
-
-            def product(w_stack, lo_c, hi_c, out=None):
-                # ``w_stack`` is already sliced to the chunk-active span
-                # [lo_c, hi_c) of the permuted chain axis.
-                if shared:
-                    return np.matmul(x_chunk, w_stack, out=out)
-                if not by_view:
-                    return np.matmul(x_chunk[lo_c - start:hi_c - start],
-                                     w_stack, out=out)
-                # One broadcast GEMM per same-map chain run (the whole-axis
-                # runs, intersected with this span): per-slice 2D GEMMs on
-                # activation views, exactly the sequential oracle's operands.
-                result = (np.empty((hi_c - lo_c, batch, n_out))
-                          if out is None else out)
-                views = tile_views[tile_index]
-                r = int(np.searchsorted(run_starts, lo_c, side="right")) - 1
-                while r < run_starts.shape[0] and run_starts[r] < hi_c:
-                    s = max(int(run_starts[r]), lo_c)
-                    e = min(int(run_ends[r]), hi_c)
-                    if s < e:
-                        np.matmul(views[int(run_maps[r])],
-                                  w_stack[s - lo_c:e - lo_c],
-                                  out=result[s - lo_c:e - lo_c])
-                    r += 1
-                return result
-
-            for level_index, runs in enumerate(tile.levels):
-                for run in runs:
-                    lo_c = max(run.start, start)
-                    hi_c = min(run.end, stop)
-                    if lo_c >= hi_c:
-                        continue
-                    local = slice(lo_c - start, hi_c - start)
-                    member = slice(lo_c - run.start, hi_c - run.start)
-                    if level_index == 0:
-                        product(run.w_stack[member], lo_c, hi_c,
-                                out=acc[local])
-                    else:
-                        segment = product(run.w_stack[member], lo_c, hi_c)
-                        # In-place accumulate; 0 + segment is skipped at the
-                        # first level because quantisation maps the zero
-                        # signs to the same codes.
-                        np.add(acc[local], segment, out=acc[local])
-                    kernel.force(acc[local], run, member, raw[local])
-            tails = product(tile.tail_stack[start:stop], start, stop)
-            if tile.levels:
-                # Chains with any level in this tile are exactly the level-0
-                # runs; the rest contribute their tail alone.
-                for run in tile.levels[0]:
-                    lo_c = max(run.start, start)
-                    hi_c = min(run.end, stop)
-                    if lo_c >= hi_c:
-                        continue
-                    local = slice(lo_c - start, hi_c - start)
-                    np.add(acc[local], tails[local], out=tails[local])
-            if tile_index == 0:
-                # 0 + tails: collapse any -0.0 the (unquantised) tail GEMM
-                # produced, exactly as the oracle's zero-initialised
-                # accumulator does.
-                np.add(tails, 0.0, out=col_out)
-            else:
-                np.add(col_out, tails, out=col_out)
-        output[plan.map_sel[start:stop], batch_idx,
-               plan.out_sel[start:stop]] = col_out
-
-
-def _apply_grouped(plan: UniformChainPlan, inputs: np.ndarray,
-                   output: np.ndarray, shared: bool, kernel: StuckAtKernel,
-                   rows: int, block_elements: int) -> None:
-    """Per-group application (the :data:`PREFIX_BATCH_ENABLED` = off path)."""
 
     batch = inputs.shape[-2]
     batch_idx = _batch_idx(batch)

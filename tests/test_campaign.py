@@ -1,6 +1,6 @@
-"""Tests for the batched fault-injection campaign engine.
+"""Tests for the fault-injection campaign engine.
 
-Covers: per-map equivalence of the batched evaluation with the sequential
+Covers: per-map equivalence of the multi-map evaluation with the sequential
 reference, engine-identical sweep records, deterministic point seeding,
 on-disk caching (including cache hits that skip simulation entirely) and the
 optional worker pool.
@@ -21,8 +21,8 @@ from repro.faults import (
     sweep_faulty_pe_count,
 )
 from repro.faults.campaign import loader_token, model_token
-from repro.faults.injection import BatchedFaultInjector
-from repro.systolic import BatchedSystolicArray, DEFAULT_ACCUMULATOR_FORMAT
+from repro.faults.injection import FaultInjector, build_faulty_array
+from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -56,10 +56,9 @@ class TestBatchedEvaluation:
             evaluate_with_faults_batched(trained_tiny_model, eval_loader)
 
     def test_injector_restores_forwards(self, trained_tiny_model):
-        maps = fault_maps_for_trials(8, 8, 2, 2, seed=3)
-        array = BatchedSystolicArray.from_fault_maps(maps)
+        (fault_map,) = fault_maps_for_trials(8, 8, 2, 1, seed=3)
         layers_before = [m.forward for m in trained_tiny_model.modules()]
-        with BatchedFaultInjector(trained_tiny_model, array):
+        with FaultInjector(trained_tiny_model, build_faulty_array(fault_map)):
             pass
         layers_after = [m.forward for m in trained_tiny_model.modules()]
         assert layers_before == layers_after
@@ -71,15 +70,14 @@ class TestBatchedEvaluation:
 
         accuracies = evaluate_with_faults_batched(
             trained_tiny_model, eval_loader, fault_maps=maps)
-        # Sanity against an injector that routes nothing through the array.
-        array = BatchedSystolicArray.from_fault_maps(maps)
-        with BatchedFaultInjector(trained_tiny_model, array,
-                                  layer_filter=lambda layer: False):
-            pass
         clean = baseline_accuracy(trained_tiny_model, eval_loader)
         assert len(accuracies) == 3
         assert all(0.0 <= value <= 1.0 for value in accuracies)
-        assert 0.0 <= clean <= 1.0
+        # An injector that routes no layer through the array leaves the
+        # software forward untouched.
+        with FaultInjector(trained_tiny_model, build_faulty_array(maps[0]),
+                           layer_filter=lambda layer: False):
+            assert baseline_accuracy(trained_tiny_model, eval_loader) == clean
 
 
 class TestCampaignPoint:
@@ -127,9 +125,9 @@ class TestCampaignRunner:
 
     def test_engines_produce_identical_records(self, trained_tiny_model, eval_loader):
         points = self.make_points()
-        batched = CampaignRunner(trained_tiny_model, eval_loader, engine="batched")
+        fused = CampaignRunner(trained_tiny_model, eval_loader, engine="fused")
         sequential = CampaignRunner(trained_tiny_model, eval_loader, engine="sequential")
-        assert batched.run(points) == sequential.run(points)
+        assert fused.run(points) == sequential.run(points)
 
     def test_records_are_deterministic(self, trained_tiny_model, eval_loader):
         points = self.make_points()
@@ -146,6 +144,14 @@ class TestCampaignRunner:
     def test_unknown_engine_rejected(self, trained_tiny_model, eval_loader):
         with pytest.raises(ValueError):
             CampaignRunner(trained_tiny_model, eval_loader, engine="quantum")
+        with pytest.raises(ValueError):
+            CampaignRunner(trained_tiny_model, eval_loader, engine="batched")
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, trained_tiny_model, eval_loader,
+                                        workers):
+        with pytest.raises(ValueError, match="workers"):
+            CampaignRunner(trained_tiny_model, eval_loader, workers=workers)
 
     def test_cache_roundtrip_and_hit(self, trained_tiny_model, eval_loader, tmp_path):
         points = self.make_points()
@@ -192,21 +198,21 @@ class TestSweepEquivalence:
                       dataset="mnist")
         sequential = sweep_faulty_pe_count(trained_tiny_model, eval_loader,
                                            engine="sequential", **kwargs)
-        batched = sweep_faulty_pe_count(trained_tiny_model, eval_loader,
-                                        engine="batched", **kwargs)
-        assert batched == sequential
-        assert batched[0]["num_faulty_pes"] == 0
-        assert batched[0]["accuracy_std"] == 0.0
+        fused = sweep_faulty_pe_count(trained_tiny_model, eval_loader,
+                                      engine="fused", **kwargs)
+        assert fused == sequential
+        assert fused[0]["num_faulty_pes"] == 0
+        assert fused[0]["accuracy_std"] == 0.0
 
     def test_fig5a_sweep_records_identical(self, trained_tiny_model, eval_loader):
         kwargs = dict(rows=16, cols=16, bit_positions=(0, FMT.magnitude_msb),
                       trials=2, seed=5, dataset="mnist")
         sequential = sweep_bit_locations(trained_tiny_model, eval_loader,
                                          engine="sequential", **kwargs)
-        batched = sweep_bit_locations(trained_tiny_model, eval_loader,
-                                      engine="batched", **kwargs)
-        assert batched == sequential
-        assert {record["stuck_type"] for record in batched} == {"sa0", "sa1"}
+        fused = sweep_bit_locations(trained_tiny_model, eval_loader,
+                                    engine="fused", **kwargs)
+        assert fused == sequential
+        assert {record["stuck_type"] for record in fused} == {"sa0", "sa1"}
 
 
 class TestHelpers:

@@ -33,11 +33,9 @@ FMT = DEFAULT_ACCUMULATOR_FORMAT
 def restore_chain_kernel_switches():
     fastpath = chain_kernel.FASTPATH_ENABLED
     threshold = chain_kernel.PER_CHAIN_GEMM_BATCH
-    prefix = chain_kernel.PREFIX_BATCH_ENABLED
     yield
     chain_kernel.FASTPATH_ENABLED = fastpath
     chain_kernel.PER_CHAIN_GEMM_BATCH = threshold
-    chain_kernel.PREFIX_BATCH_ENABLED = prefix
 
 
 def run_both_paths(arrays, weight, inputs, bias=None):
@@ -158,31 +156,8 @@ class TestChainEdgeCases:
         chunked = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
         assert unchunked.tobytes() == chunked.tobytes()
 
-    def test_prefix_batching_matches_grouped_application(self):
-        """Prefix-level runs and per-group application agree bit for bit."""
-
-        rng = get_rng(9)
-        arrays = []
-        for seed in range(5):
-            fault_map = random_fault_map(4, 6, int(rng.integers(0, 7)),
-                                         bit_position=None,
-                                         stuck_type=seed % 2, seed=seed)
-            array = SystolicArray(4, 6)
-            array.load_fault_map(fault_map)
-            arrays.append(array)
-        weight = rng.normal(size=(10, 13))      # multiple weight tiles
-        for shared in (True, False):
-            shape = (3, 13) if shared else (5, 3, 13)
-            inputs = rng.normal(size=shape)
-            chain_kernel.FASTPATH_ENABLED = True
-            chain_kernel.PREFIX_BATCH_ENABLED = True
-            prefix = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
-            chain_kernel.PREFIX_BATCH_ENABLED = False
-            grouped = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
-            assert prefix.tobytes() == grouped.tobytes()
-
     def test_descending_sort_makes_full_tile_levels_prefixes(self):
-        """Full tiles carry one run per level; groups sort by site count."""
+        """Groups sort by site count, so full-tile levels cover a prefix."""
 
         array = SystolicArray(4, 4)
         array.inject_fault(0, 0, StuckAtFault(3, "sa1"))
@@ -196,16 +171,21 @@ class TestChainEdgeCases:
                       for group in uniform.groups]
         assert signatures == sorted(signatures, reverse=True)
         # 9 input features on a 4-row array: tiles 0 and 1 are full, tile 2
-        # is partial.  Full tiles must expose exactly one (prefix) run per
-        # level, starting at chain 0.
-        for tile in uniform.prefix_tiles[:2]:
-            for runs in tile.levels:
-                assert len(runs) == 1
-                assert runs[0].start == 0
-        # Group views alias the run stacks -- no duplicated segment memory.
-        group = uniform.groups[0]
-        run = uniform.prefix_tiles[0].levels[0][0]
-        assert group.tiles[0].levels[0].w_stack.base is run.w_stack
+        # is partial.  On full tiles, the chains active at each level are a
+        # prefix of the permuted chain axis, starting at chain 0.
+        for tile_index in range(2):
+            for level in range(max(s[tile_index] for s in signatures)):
+                active = [group for group, signature
+                          in zip(uniform.groups, signatures)
+                          if signature[tile_index] > level]
+                assert active == uniform.groups[:len(active)]
+        # Each group owns contiguous copies of its stacks.
+        for group in uniform.groups:
+            for tile in group.tiles:
+                assert tile.tail_stack.flags.owndata
+                assert tile.tail_stack.flags.c_contiguous
+                for level in tile.levels:
+                    assert level.w_stack.flags.c_contiguous
 
     def test_per_chain_view_strategy_matches_stacked(self, monkeypatch):
         """Forcing the wide-batch strategy on tiny batches changes nothing."""

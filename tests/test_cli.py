@@ -82,6 +82,19 @@ class TestCampaignCommand:
             ["run", "fig5b", "--engine", "sequential", "--workers", "2"])
         assert args.engine == "sequential" and args.workers == 2
 
+    @pytest.mark.parametrize("command", ["run fig5b", "campaign counts"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command.split() + ["--workers", workers])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_engine_choices_are_fused_and_sequential(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "counts", "--engine", "batched"])
+        assert "'fused', 'sequential'" in capsys.readouterr().err
+
     def test_unit_timeout_flag_parses_and_threads_through(self):
         from repro.cli import _engine_kwargs_for
         from repro.faults import sweep_faulty_pe_count
@@ -109,10 +122,10 @@ class TestCampaignCommand:
         assert (tmp_path / "cache").is_dir()
 
     def test_campaign_engines_agree(self, tmp_path):
-        out_a = tmp_path / "batched.json"
+        out_a = tmp_path / "fused.json"
         out_b = tmp_path / "sequential.json"
         base = ["campaign", "counts", "--dataset", "mnist", "--seed", "13",
                 "--counts", "2", "--trials", "2"]
-        assert main(base + ["--engine", "batched", "--out", str(out_a)]) == 0
+        assert main(base + ["--engine", "fused", "--out", str(out_a)]) == 0
         assert main(base + ["--engine", "sequential", "--out", str(out_b)]) == 0
         assert json.loads(out_a.read_text()) == json.loads(out_b.read_text())

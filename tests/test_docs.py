@@ -1,9 +1,11 @@
 """Doc-consistency checks for README.md, docs/ARCHITECTURE.md and the CLI.
 
 Every ``python -m repro ...`` snippet in the docs must parse against the
-real argument parser, every relative markdown link must resolve, and every
-module/benchmark file the architecture map names must exist.  These tests
-keep the docs from silently rotting as flags and files move.
+real argument parser, every relative markdown link must resolve, every
+module/benchmark file the architecture map names must exist, and the
+environment-variable table must list exactly the ``REPRO_*`` variables the
+code reads.  These tests keep the docs from silently rotting as flags,
+knobs and files move.
 """
 
 import re
@@ -109,6 +111,32 @@ class TestDocLinksResolve:
         results = REPO_ROOT / "benchmarks" / "results" / "campaign_engine.txt"
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for line in results.read_text(encoding="utf-8").splitlines():
-            if line.startswith(("sequential", "batched", "fused")):
+            if line.startswith(("sequential", "fused")):
                 assert line.rstrip() in readme, \
                     f"README bench table is stale; missing row: {line!r}"
+
+
+ENV_VAR = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def test_env_var_table_in_sync():
+    """ARCHITECTURE.md's env table lists exactly the REPRO_* vars the code reads.
+
+    A deleted variable cannot linger in the table, and a new one cannot go
+    undocumented.
+    """
+
+    used = set()
+    for base in ("src", "benchmarks"):
+        for path in sorted((REPO_ROOT / base).rglob("*.py")):
+            used.update(ENV_VAR.findall(path.read_text(encoding="utf-8")))
+    doc = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    documented = {
+        ENV_VAR.search(line).group(0)
+        for line in doc.splitlines()
+        if line.startswith("| `REPRO_")
+    }
+    missing = used - documented
+    stale = documented - used
+    assert not missing, f"undocumented REPRO_* vars: {sorted(missing)}"
+    assert not stale, f"documented but unused REPRO_* vars: {sorted(stale)}"

@@ -2,9 +2,9 @@
 
 Covers: bit-identity of the fused float64 plan with the autograd forward
 across neuron types x reset modes x threshold modes, the float32 tolerance
-mode, lowering errors, fault-engine equivalence with the sequential and
-batched autograd paths (including bypass and clean-prefix sharing), and the
-campaign-runner integration.
+mode, lowering errors, fault-engine equivalence with the sequential
+autograd oracle (accuracies and per-map rates, including bypass and
+clean-prefix sharing), and the campaign-runner integration.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.faults import (
     fault_maps_for_trials,
     random_fault_map,
 )
-from repro.faults.injection import BatchedFaultInjector, build_faulty_array
+from repro.faults.injection import FaultInjector, build_faulty_array
 from repro.snn import (
     AvgPool2d,
     BatchNorm2d,
@@ -44,7 +44,7 @@ from repro.snn import (
     lower_plan,
 )
 from repro.snn.inference.plan import NeuronSpec
-from repro.systolic import BatchedSystolicArray, DEFAULT_ACCUMULATOR_FORMAT
+from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
 
@@ -53,6 +53,16 @@ def _autograd_rates(model, x) -> np.ndarray:
     model.eval()
     with no_grad():
         return model(Tensor(x)).data
+
+
+def _sequential_rates(model, x, arrays) -> np.ndarray:
+    """``(F, batch, classes)`` rates from one FaultInjector pass per array."""
+
+    rates = []
+    for array in arrays:
+        with FaultInjector(model, array):
+            rates.append(_autograd_rates(model, x))
+    return np.stack(rates)
 
 
 def _make_neuron(kind: str, v_reset, learnable: bool):
@@ -254,8 +264,7 @@ class TestFaultEngineEquivalence:
             for m in maps
         ]
         fused = evaluate_with_faults_batched(trained_tiny_model, test_loader,
-                                             fault_maps=maps, bypass=bypass,
-                                             engine="fused")
+                                             fault_maps=maps, bypass=bypass)
         assert fused == sequential
 
     def test_single_map_fused_matches_autograd(self, trained_tiny_model,
@@ -268,21 +277,30 @@ class TestFaultEngineEquivalence:
         fused = evaluate_with_faults(trained_tiny_model, test_loader, fault_map=fm)
         assert fused == autograd
 
-    def test_rates_bit_identical_to_batched_injector(self, trained_tiny_model,
-                                                     tiny_mnist_loaders):
+    @pytest.mark.parametrize("bypass", [False, True], ids=["faulty", "bypassed"])
+    def test_rates_bit_identical_to_sequential_injector(self, trained_tiny_model,
+                                                        tiny_mnist_loaders,
+                                                        bypass):
+        """Per-map rates equal F sequential FaultInjector passes, byte for byte.
+
+        The map mix covers a never-forking clean map, a map forking only at
+        the first FC layer and maps forking at the encoder conv.
+        """
+
+        from repro.faults import StuckAtFault
+
         _, test_loader = tiny_mnist_loaders
-        maps = fault_maps_for_trials(16, 16, 2, 6, bit_position=FMT.magnitude_msb,
+        maps = fault_maps_for_trials(16, 16, 2, 4, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=11)
-        arrays = [build_faulty_array(m) for m in maps]
-        batched_array = BatchedSystolicArray.from_fault_maps(maps)
+        fc_only = random_fault_map(16, 16, 0, seed=1)
+        fc_only.add(3, 12, StuckAtFault(FMT.magnitude_msb, "sa1"))
+        maps = [random_fault_map(16, 16, 0, seed=0), fc_only] + maps
+        arrays = [build_faulty_array(m, bypass=bypass) for m in maps]
         inputs, _ = next(iter(test_loader))
-        trained_tiny_model.eval()
-        with BatchedFaultInjector(trained_tiny_model, batched_array), no_grad():
-            reference = trained_tiny_model(Tensor(inputs)).data
-        reference = reference.reshape(len(maps), -1, 10)
         engine = FusedFaultEngine(trained_tiny_model, arrays)
-        rates = engine.run(inputs)
-        assert reference.tobytes() == rates.tobytes()
+        assert 0 not in engine.fork_order and len(engine.fork_order) > 1
+        reference = _sequential_rates(trained_tiny_model, inputs, arrays)
+        assert reference.tobytes() == engine.run(inputs).tobytes()
 
     def test_clean_prefix_sharing_structure(self, trained_tiny_model):
         """Maps whose faults miss the early layers fork late (or never)."""
@@ -323,12 +341,9 @@ class TestFaultEngineEquivalence:
         maps = fault_maps_for_trials(16, 16, 4, 3, bit_position=FMT.magnitude_msb,
                                      stuck_type="sa1", seed=6)
         x = (rng.random((4, 3, 1, 16, 16)) > 0.6).astype(np.float64)
-        batched_array = BatchedSystolicArray.from_fault_maps(maps)
-        trained_tiny_model.eval()
-        with BatchedFaultInjector(trained_tiny_model, batched_array), no_grad():
-            reference = trained_tiny_model(Tensor(x)).data.reshape(len(maps), 3, 10)
-        engine = FusedFaultEngine(trained_tiny_model,
-                                  [build_faulty_array(m) for m in maps])
+        arrays = [build_faulty_array(m) for m in maps]
+        reference = _sequential_rates(trained_tiny_model, x, arrays)
+        engine = FusedFaultEngine(trained_tiny_model, arrays)
         assert reference.tobytes() == engine.run(x).tobytes()
 
     def test_chunked_chain_path_matches_sequential(self, rng, monkeypatch):
@@ -363,11 +378,8 @@ class TestFaultEngineEquivalence:
         arrays = [build_faulty_array(m) for m in maps]
         fused = FusedFaultEngine(model, arrays).evaluate(loader)
         assert fused == sequential
-        # Rates too, against the (equally chunked) batched injector.
-        model.eval()
-        with BatchedFaultInjector(
-                model, BatchedSystolicArray.from_fault_maps(maps)), no_grad():
-            reference = model(Tensor(data)).data.reshape(2, 6, 3)
+        # Rates too, against the sequential injector.
+        reference = _sequential_rates(model, data, arrays)
         rates = FusedFaultEngine(model, arrays).run(data)
         assert reference.tobytes() == rates.tobytes()
 
@@ -400,10 +412,9 @@ class TestCampaignIntegration:
             for count in (2, 6)
         ]
         records = {}
-        for engine in ("fused", "batched", "sequential"):
+        for engine in ("fused", "sequential"):
             runner = CampaignRunner(trained_tiny_model, test_loader, engine=engine)
             records[engine] = runner.run(points)
-        assert records["fused"] == records["batched"]
         assert records["fused"] == records["sequential"]
 
     def test_fused_baseline_accuracy_matches_software(self, trained_tiny_model,
@@ -418,7 +429,7 @@ class TestCampaignIntegration:
     def test_float32_requires_fused(self, trained_tiny_model, tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders
         with pytest.raises(ValueError):
-            CampaignRunner(trained_tiny_model, test_loader, engine="batched",
+            CampaignRunner(trained_tiny_model, test_loader, engine="sequential",
                            dtype="float32")
 
     def test_float32_gets_its_own_cache_key(self, trained_tiny_model,

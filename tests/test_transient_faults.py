@@ -1,7 +1,8 @@
 """Differential suite for the transient / weight-SRAM fault models.
 
-Pins the batched and fused engines byte-identical (``tobytes``) to the
-sequential per-schedule oracle under transient fault schedules, covers the
+Pins the fused engine byte-identical (``tobytes``) to the sequential
+per-schedule oracle under transient fault schedules -- accuracies and
+per-map rates over multi-phase schedules -- covers the
 boundary cases of the step-resolved semantics (fault live only at the
 first or last step, all steps == permanent stuck-at, empty schedule ==
 clean), property-tests the rate-process generators with Hypothesis, and
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.autograd import Tensor, no_grad
 from repro.datasets import DataLoader
 from repro.faults import (
     FaultMap,
     FaultSchedule,
     SCHEDULE_PROCESSES,
     StuckAtFault,
+    TransientFaultInjector,
     WeightSRAMFault,
     baseline_accuracy,
     bernoulli_schedule,
@@ -33,6 +36,7 @@ from repro.faults import (
     transient_fault,
 )
 from repro.faults.injection import TRANSIENT_EVAL_ENGINES
+from repro.snn import FusedFaultEngine
 from repro.systolic import DEFAULT_ACCUMULATOR_FORMAT, SystolicArray
 from repro.systolic.array import apply_weight_faults
 from repro.utils.rng import derive_seed
@@ -72,7 +76,7 @@ def _single_site_schedule(active_steps, num_sites: int = 12) -> FaultSchedule:
 
 
 class TestEngineByteIdentity:
-    """Batched and fused engines are bit-equal to the sequential oracle."""
+    """The fused engine is bit-equal to the sequential oracle."""
 
     @pytest.mark.parametrize("process", SCHEDULE_PROCESSES)
     def test_engines_byte_identical_per_process(self, trained_tiny_model,
@@ -80,27 +84,34 @@ class TestEngineByteIdentity:
         schedules = _schedules(process)
         reference = evaluate_with_transient_faults(
             trained_tiny_model, test_loader, schedules, engine="sequential")
-        for engine in ("batched", "fused"):
-            accuracies = evaluate_with_transient_faults(
-                trained_tiny_model, test_loader, schedules, engine=engine)
-            assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference), engine
+        accuracies = evaluate_with_transient_faults(
+            trained_tiny_model, test_loader, schedules, engine="fused")
+        assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference)
+
+    @pytest.mark.parametrize("process", SCHEDULE_PROCESSES)
+    def test_rates_bit_identical_to_sequential_injector(self, trained_tiny_model,
+                                                        test_loader, process):
+        """Fused ``(F, batch, classes)`` rates equal F oracle passes, byte for byte."""
+
+        schedules = _schedules(process, trials=3)
+        step_phase, _ = schedule_phases(schedules)
+        assert len(set(step_phase)) > 1      # live faults change between steps
+        inputs, _ = next(iter(test_loader))
+        rates = FusedFaultEngine(trained_tiny_model, schedules=schedules).run(inputs)
+        trained_tiny_model.eval()
+        reference = []
+        for schedule in schedules:
+            with TransientFaultInjector(trained_tiny_model, schedule, fmt=FMT), \
+                    no_grad():
+                reference.append(trained_tiny_model(Tensor(inputs)).data)
+        assert np.stack(reference).tobytes() == rates.tobytes()
 
     def test_unknown_engine_rejected(self, trained_tiny_model, test_loader):
         with pytest.raises(ValueError, match="sequential"):
             evaluate_with_transient_faults(
                 trained_tiny_model, test_loader, _schedules("bernoulli"),
                 engine="autograd")
-        assert TRANSIENT_EVAL_ENGINES == ("fused", "batched", "sequential")
-
-    def test_lane_threads_do_not_change_bytes(self, trained_tiny_model,
-                                              test_loader):
-        schedules = _schedules("bernoulli", trials=3)
-        serial = evaluate_with_transient_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused")
-        threaded = evaluate_with_transient_faults(
-            trained_tiny_model, test_loader, schedules, engine="fused",
-            lane_threads=2)
-        assert _accuracy_bytes(serial) == _accuracy_bytes(threaded)
+        assert TRANSIENT_EVAL_ENGINES == ("fused", "sequential")
 
     def test_float32_runs_close_to_float64(self, trained_tiny_model,
                                            test_loader):
@@ -135,11 +146,10 @@ class TestStepSemantics:
             trained_tiny_model, test_loader, [schedule], engine="sequential")
         # The fault must actually fire on its single live step...
         assert reference[0] != clean
-        # ...and every engine must agree bit-for-bit.
-        for engine in ("batched", "fused"):
-            accuracies = evaluate_with_transient_faults(
-                trained_tiny_model, test_loader, [schedule], engine=engine)
-            assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference), engine
+        # ...and the fused engine must agree bit-for-bit.
+        accuracies = evaluate_with_transient_faults(
+            trained_tiny_model, test_loader, [schedule], engine="fused")
+        assert _accuracy_bytes(accuracies) == _accuracy_bytes(reference)
 
     def test_always_active_equals_permanent_stuck_at(self, trained_tiny_model,
                                                      test_loader):
@@ -185,12 +195,14 @@ class TestWeightSRAMFaults:
                                         stuck_type="sa1", fmt=FMT, seed=s)
                 for s in (21, 22)]
         sequential = [evaluate_with_faults(trained_tiny_model, test_loader,
-                                           fault_map=fault_map)
+                                           fault_map=fault_map, engine="autograd")
                       for fault_map in maps]
-        for engine in ("fused", "autograd"):
-            accuracies = evaluate_with_faults_batched(
-                trained_tiny_model, test_loader, maps, engine=engine)
-            assert _accuracy_bytes(accuracies) == _accuracy_bytes(sequential), engine
+        single = [evaluate_with_faults(trained_tiny_model, test_loader,
+                                       fault_map=fault_map)
+                  for fault_map in maps]
+        batched = evaluate_with_faults_batched(trained_tiny_model, test_loader, maps)
+        assert _accuracy_bytes(single) == _accuracy_bytes(sequential)
+        assert _accuracy_bytes(batched) == _accuracy_bytes(sequential)
 
     def test_sram_differs_from_datapath_stuck_at(self, trained_tiny_model,
                                                  test_loader):
