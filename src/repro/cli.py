@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="comma-separated faulty-PE counts (counts sweep)")
     campaign_parser.add_argument("--sizes", type=_int_list, default=None,
                                  help="comma-separated array sizes (sizes sweep)")
-    campaign_parser.add_argument("--trials", type=int, default=4,
+    campaign_parser.add_argument("--trials", type=_positive_int, default=4,
                                  help="fault maps per grid point")
     campaign_parser.add_argument("--stuck", choices=("sa0", "sa1"), default="sa1")
     campaign_parser.add_argument("--out", default=None,
@@ -129,6 +129,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1; got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0; got {value}")
     return value
 
 
@@ -171,13 +181,13 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "(0-based); shards pointed at the same cache "
                              "directory partition the work units exactly "
                              "(sweep experiments only)")
-    parser.add_argument("--trial-chunk", type=int, default=None, metavar="K",
+    parser.add_argument("--trial-chunk", type=_positive_int, default=None, metavar="K",
                         help="split each sweep point into work units of at "
                              "most K trials (default: one unit per point); "
                              "per-map accuracies are independent of the "
                              "split, so merged float64 records are "
                              "byte-identical to an unchunked run")
-    parser.add_argument("--unit-timeout", type=float, default=None,
+    parser.add_argument("--unit-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="per-unit soft deadline for orchestrated sweeps: "
                              "a worker whose unit runs longer is killed and "

@@ -484,13 +484,15 @@ class CampaignRunner:
         ``cache_dir`` -- the shared filesystem coordinates the shards).
     trial_chunk:
         Maximum trials per orchestrated work unit (``None`` keeps one unit
-        per point, whose cache keys equal the plain per-point keys).
+        per point, whose cache keys equal the plain per-point keys; values
+        below 1 raise ``ValueError``).
     unit_timeout:
         Optional per-unit soft deadline in seconds for orchestrated sweeps
         (CLI: ``--unit-timeout``): a worker whose unit exceeds it is killed
         by the watchdog and the unit retried elsewhere.  ``None`` (default)
-        derives the deadline from observed unit timings.  Timings only --
-        it cannot change records.
+        derives the deadline from observed unit timings; values ``<= 0``
+        raise ``ValueError``, also on the serial path.  Timings only -- it
+        cannot change records.
     progress:
         Optional callable receiving the orchestrator's structured progress
         events (per-unit timing, retries, ETA); parent process only.
@@ -563,7 +565,11 @@ class CampaignRunner:
             shard = ShardSpec.parse(shard)
         self.shard = shard
         self.trial_chunk = None if trial_chunk is None else int(trial_chunk)
+        if self.trial_chunk is not None and self.trial_chunk < 1:
+            raise ValueError(f"trial_chunk must be >= 1; got {self.trial_chunk}")
         self.unit_timeout = None if unit_timeout is None else float(unit_timeout)
+        if self.unit_timeout is not None and not self.unit_timeout > 0:
+            raise ValueError(f"unit_timeout must be > 0; got {self.unit_timeout}")
         self.progress = progress
         if plan_cache is True:
             from ..snn.inference import default_plan_cache

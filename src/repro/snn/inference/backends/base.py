@@ -10,10 +10,14 @@ The swappable surface is deliberately small:
   geometries, fused charge->fire->reset neuron updates, batch norm,
   pooling, flatten);
 * :meth:`im2col` -- the patch-gather feeding every convolution GEMM;
-* :meth:`stuck_at_kernel` / :meth:`apply_chain_plan` -- the fused
-  stuck-at quantise->force->dequantise pass and the chain-application
-  driver of :mod:`repro.systolic.chain_kernel`;
-* :meth:`empty` -- scratch/result buffer allocation.
+* :meth:`stuck_at_kernel` -- the fused stuck-at
+  quantise->force->dequantise pass the chain application of
+  :mod:`repro.systolic.chain_kernel` runs at every fault breakpoint.
+
+The fault engine hands the backend to
+:class:`~repro.systolic.array.BatchedSystolicArray`, which calls the last
+two hooks; the chain GEMMs themselves stay on numpy/BLAS, whose summation
+order the bit-identity contract is pinned to.
 
 The base class implements every hook with the shared numpy/chain-kernel
 code paths, so a backend only overrides what it accelerates.  The bit
@@ -82,25 +86,6 @@ class Backend:
         """Fused stuck-at forcing kernel for one fixed-point format."""
 
         return _chain_kernel.StuckAtKernel(fmt)
-
-    def apply_chain_plan(self, plan, inputs: np.ndarray, output: np.ndarray,
-                         shared: bool, kernel, rows: int,
-                         block_elements: int) -> None:
-        """Chain-application driver (segment GEMMs + ``kernel`` forcing).
-
-        The default delegates to :func:`repro.systolic.chain_kernel
-        .apply_chain_plan`; a backend typically customises the *forcing*
-        via :meth:`stuck_at_kernel` and keeps the GEMMs on numpy/BLAS,
-        whose summation order the bit-identity contract is pinned to.
-        """
-
-        _chain_kernel.apply_chain_plan(plan, inputs, output, shared, kernel,
-                                       rows, block_elements)
-
-    def empty(self, shape, dtype=np.float64) -> np.ndarray:
-        """Allocate an uninitialised result/scratch buffer."""
-
-        return np.empty(shape, dtype=dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -17,10 +17,11 @@ Two engines execute an :class:`~repro.snn.inference.plan.InferencePlan`:
   its faults touch.  The engine runs a single shared *clean lane* plus a
   growing *fork lane*: a map is forked out of the clean lane exactly at its
   first corrupted layer, and all forked maps advance together with their
-  fault-map axis folded into the batch axis.  Corrupted GEMMs are delegated
-  to :class:`~repro.systolic.array.BatchedSystolicArray`, whose per-map
-  arithmetic is bit-identical to the sequential oracle, so float64 results
-  match the autograd fault-injection paths bit for bit.
+  fault-map axis folded into the batch axis.  Corrupted GEMMs run through
+  :meth:`~repro.systolic.array.BatchedSystolicArray.conv2d_batched` /
+  :meth:`~repro.systolic.array.BatchedSystolicArray.matmul_batched`, whose
+  per-map arithmetic is bit-identical to the sequential oracle, so float64
+  results match the autograd fault-injection paths bit for bit.
 
 Both engines additionally cache the *static prefix* (the stateless ops
 before the first spiking layer) per batch: for static inputs those
@@ -38,7 +39,6 @@ from ...systolic.array import BatchedSystolicArray, SystolicArray
 from ...systolic.mapping import faulty_weight_mask
 from .backends import get_backend
 from .backends.ops_numpy import NeuronKernel
-from .faulty_gemm import FaultyAffineRunner
 from .plan import SUPPORTED_DTYPES, AffineSpec, InferencePlan, lower_plan
 
 __all__ = ["FusedInferenceEngine", "FusedFaultEngine"]
@@ -158,13 +158,19 @@ class FusedInferenceEngine:
 
 
 class _AffineExec:
-    """Precomputed per-affine-layer execution state of the fork lane."""
+    """Precomputed per-affine-layer execution state of the fork lane.
 
-    __slots__ = ("spec", "runner", "num_prev", "num_active")
+    ``subset`` is the :class:`BatchedSystolicArray` of the maps active at
+    this layer and ``prepared`` its ``prepare_weight`` handle for the
+    layer's weight.
+    """
 
-    def __init__(self, spec, runner, num_prev, num_active) -> None:
+    __slots__ = ("spec", "subset", "prepared", "num_prev", "num_active")
+
+    def __init__(self, spec, subset, prepared, num_prev, num_active) -> None:
         self.spec = spec
-        self.runner = runner
+        self.subset = subset
+        self.prepared = prepared
         self.num_prev = num_prev
         self.num_active = num_active
 
@@ -195,7 +201,7 @@ class FusedFaultEngine:
         *transient* faults, instead of ``arrays`` (exactly one of the two
         must be given).  The per-step live-fault signatures are deduped
         into phases; each map forks at the first layer its fault *union*
-        can touch, and the fork-lane runners are swapped per phase, so
+        can touch, and the fork-lane arrays are swapped per phase, so
         results stay bit-identical to the step-by-step sequential oracle.
     fmt:
         Accumulator format for the transient path; defaults to the
@@ -233,6 +239,7 @@ class FusedFaultEngine:
             # simulator's per-slice dense product is the sequential clean
             # GEMM, keeping bits identical to the step-by-step oracle.
             from ...faults.fault_map import schedule_phases
+            from ...faults.injection import build_faulty_array
             from ...systolic.fixed_point import DEFAULT_ACCUMULATOR_FORMAT
 
             schedules = list(schedules)
@@ -244,11 +251,11 @@ class FusedFaultEngine:
             step_phase, phase_maps = schedule_phases(schedules)
             self._step_phase: Optional[List[int]] = step_phase
             phase_arrays = [
-                [self._array_from_map(fault_map, resolved_fmt)
+                [build_faulty_array(fault_map, fmt=resolved_fmt)
                  for fault_map in maps]
                 for maps in phase_maps]
             structure_arrays = [
-                self._array_from_map(schedule.union_map(), resolved_fmt)
+                build_faulty_array(schedule.union_map(), fmt=resolved_fmt)
                 for schedule in schedules]
         else:
             arrays = list(arrays)
@@ -282,9 +289,9 @@ class FusedFaultEngine:
             op.index: i for i, op in enumerate(ops) if isinstance(op, AffineSpec)}
         self._stash_ops = {op_of_affine[k] for k in fork_ordinals}
 
-        # Fork-lane affine runners: layers[phase][ordinal].  The fork
+        # Fork-lane affine layers: layers[phase][ordinal].  The fork
         # structure (active maps and their order) is phase-independent --
-        # only the arrays backing the runners change with the live-fault
+        # only the arrays backing the layers change with the live-fault
         # phase.  Ordinals sharing an active set share one subset array.
         subset_cache = {}
         self.layers: List[List[Optional[_AffineExec]]] = [
@@ -301,11 +308,11 @@ class FusedFaultEngine:
                 subset = subset_cache.get(key)
                 if subset is None:
                     subset = subset_cache[key] = BatchedSystolicArray(
-                        [phase_arrays[phase][f] for f in active])
-                runner = FaultyAffineRunner(
-                    subset, subset.prepare_weight(spec.weight), spec,
-                    backend=self.backend)
-                layers.append(_AffineExec(spec, runner, prev, len(active)))
+                        [phase_arrays[phase][f] for f in active],
+                        backend=self.backend)
+                layers.append(_AffineExec(spec, subset,
+                                          subset.prepare_weight(spec.weight),
+                                          prev, len(active)))
         #: First op index with fork work (past the end when nothing forks).
         self._fork_start = (
             op_of_affine[self._divergence[self.fork_order[0]]]
@@ -323,14 +330,6 @@ class FusedFaultEngine:
         self._prefix = self.plan.static_prefix
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _array_from_map(fault_map, fmt) -> SystolicArray:
-        """Build a :class:`SystolicArray` loaded with ``fault_map``."""
-
-        array = SystolicArray(fault_map.rows, fault_map.cols, fmt=fmt)
-        array.load_fault_map(fault_map)
-        return array
-
     def _phase_for_step(self, step: int) -> int:
         """Live-fault phase of SNN time step ``step`` (0 when permanent)."""
 
@@ -392,11 +391,10 @@ class FusedFaultEngine:
 
         spec = layer.spec
         num_new = layer.num_active - layer.num_prev
-        shared = layer.num_prev == 0
-        if shared:
-            # Everyone forks here: hand the runner the shared clean
-            # activations so the dense product is computed once and
-            # replicated across the maps.
+        if layer.num_prev == 0:
+            # Everyone forks here: hand the array the shared clean
+            # activations (no fault-map axis) so the dense product is
+            # computed once and replicated across the maps.
             x_in = x_c
         else:
             x_in = x_v
@@ -404,9 +402,12 @@ class FusedFaultEngine:
                 x_in = np.concatenate(
                     [x_in, np.broadcast_to(x_c, (num_new,) + x_c.shape)])
         if spec.kind == "conv":
-            out = layer.runner.conv2d(x_in, shared)
+            out = layer.subset.conv2d_batched(
+                spec.weight, x_in, bias=spec.bias, stride=spec.stride,
+                padding=spec.padding, prepared=layer.prepared)
         else:
-            out = layer.runner.matmul(x_in, shared)
+            out = layer.subset.matmul_batched(spec.weight, x_in, bias=spec.bias,
+                                              prepared=layer.prepared)
         if out.dtype != self.dtype:
             out = out.astype(self.dtype)
         return out
@@ -504,8 +505,7 @@ class FusedFaultEngine:
         scale = 1.0 / steps
         reference = acc_c if acc_c is not None else acc_v
         num_classes = reference.shape[-1]
-        rates = self.backend.empty((self.num_maps, batch, num_classes),
-                                   dtype=self.dtype)
+        rates = np.empty((self.num_maps, batch, num_classes), dtype=self.dtype)
         if acc_c is not None:
             np.multiply(acc_c, scale, out=acc_c)
         if acc_v is not None:

@@ -21,13 +21,14 @@ Two execution paths are provided:
 
 * :meth:`SystolicArray.matmul` -- the sequential reference oracle: one array,
   one fault map, one matmul.
-* :class:`BatchedSystolicArray` / :func:`matmul_batched` -- the campaign
-  path: ``F`` fault maps are simulated in a single vectorised pass by
-  stacking the prefix-sum fault chains of every (map, column) pair along a
-  leading axis instead of re-running the tile loop once per map.  The
-  arithmetic is ordered exactly as in the sequential path, so per-map
-  results are **bit-identical** to ``F`` separate :meth:`SystolicArray.matmul`
-  calls (a property the equivalence tests assert).
+* :class:`BatchedSystolicArray` -- the campaign path, and the GEMM behind
+  every corrupted layer of the fused fault engine: ``F`` fault maps are
+  simulated in a single vectorised pass by stacking the prefix-sum fault
+  chains of every (map, column) pair along a leading axis instead of
+  re-running the tile loop once per map.  The arithmetic is ordered exactly
+  as in the sequential path, so per-map results are **bit-identical** to
+  ``F`` separate :meth:`SystolicArray.matmul` calls (a property the
+  equivalence tests assert).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..autograd.functional import im2col
 from . import chain_kernel
-from .chain_kernel import StuckAtKernel, apply_chain_plan, build_uniform_plan
+from .chain_kernel import StuckAtKernel, build_uniform_plan
 from .fixed_point import DEFAULT_ACCUMULATOR_FORMAT, FixedPointFormat
 from .mapping import as_weight_matrix, tile_counts
 from .pe import ProcessingElement
@@ -67,7 +68,7 @@ def apply_weight_faults(weight_matrix: np.ndarray, sites: Sequence[FaultSite],
     change the result, but pinning it keeps every execution path
     byte-identical by construction.  This single function is the one
     implementation shared by the sequential oracle and the batched
-    simulator behind the fused engine.
+    simulator the fused engine runs.
     """
 
     if not sites:
@@ -432,9 +433,16 @@ class BatchedSystolicArray:
     arrays:
         The per-fault-map arrays.  All must share grid dimensions and
         accumulator format.
+    backend:
+        Optional :class:`~repro.snn.inference.backends.Backend` supplying
+        the stuck-at forcing kernel (``backend.stuck_at_kernel``) and the
+        convolution patch gather (``backend.im2col``).  ``None`` keeps
+        :class:`~repro.systolic.chain_kernel.StuckAtKernel` and
+        :func:`repro.autograd.functional.im2col`.  Backends must be (and
+        the in-tree ones are) bit-identical to those defaults.
     """
 
-    def __init__(self, arrays: Sequence[SystolicArray]) -> None:
+    def __init__(self, arrays: Sequence[SystolicArray], backend=None) -> None:
         arrays = list(arrays)
         if not arrays:
             raise ValueError("BatchedSystolicArray needs at least one array")
@@ -448,7 +456,9 @@ class BatchedSystolicArray:
         self.rows = first.rows
         self.cols = first.cols
         self.fmt = first.fmt
-        self._stuck_kernel = StuckAtKernel(first.fmt)
+        self.backend = backend
+        self._stuck_kernel = (StuckAtKernel(first.fmt) if backend is None
+                              else backend.stuck_at_kernel(first.fmt))
         # Immutable snapshot of each map's active (non-bypassed) faults.
         self._faults_by_col = [array._active_faults_by_column() for array in arrays]
         self._bypassed = [array.bypassed_coordinates for array in arrays]
@@ -461,21 +471,6 @@ class BatchedSystolicArray:
         self._chain_cache: Dict[int, Optional[_ChainTable]] = {}
         self._site_count_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._bypass_mask_cache: Dict[Tuple[int, Tuple[int, int]], Optional[np.ndarray]] = {}
-
-    @classmethod
-    def from_fault_maps(cls, fault_maps: Sequence[object],
-                        fmt: FixedPointFormat = DEFAULT_ACCUMULATOR_FORMAT,
-                        bypass: bool = False) -> "BatchedSystolicArray":
-        """Build one array per fault map (optionally with bypass enabled)."""
-
-        arrays = []
-        for fault_map in fault_maps:
-            array = SystolicArray(fault_map.rows, fault_map.cols, fmt=fmt)
-            array.load_fault_map(fault_map)
-            if bypass:
-                array.bypass_faulty_pes()
-            arrays.append(array)
-        return cls(arrays)
 
     @property
     def num_maps(self) -> int:
@@ -719,30 +714,33 @@ class BatchedSystolicArray:
         slice bit-identical to the sequential :meth:`SystolicArray.conv2d`.
         """
 
-        weight = np.asarray(weight, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         num_maps = self.num_maps
-        out_channels, in_channels, kh, kw = weight.shape
+        out_channels, in_channels, kh, kw = np.shape(weight)
+        # Resolved per call, through the backend's class attribute: the
+        # patch gather stays visible to wrappers installed after this
+        # array was built.
+        gather = im2col if self.backend is None else self.backend.im2col
         if x.ndim == 4:
             # Shared activations: one im2col, and matmul_batched's shared-input
             # path computes the clean product once for all maps.
             batch = x.shape[0]
-            cols = im2col(x, (kh, kw), stride, padding)
+            cols = gather(x, (kh, kw), stride, padding)
             _, out_h, out_w, k = cols.shape
             flat_inputs = cols.reshape(batch * out_h * out_w, k)
         elif x.ndim == 5 and x.shape[0] == num_maps:
             batch = x.shape[1]
             # One im2col over the folded (F * batch) axis; the transform is a
             # pure gather, so each map's slice equals its standalone im2col.
-            cols = im2col(x.reshape((num_maps * batch,) + x.shape[2:]),
+            cols = gather(x.reshape((num_maps * batch,) + x.shape[2:]),
                           (kh, kw), stride, padding)
             _, out_h, out_w, k = cols.shape
             flat_inputs = cols.reshape(num_maps, batch * out_h * out_w, k)
         else:
             raise ValueError(
                 f"x must be (batch, C, H, W) or ({num_maps}, batch, C, H, W), got {x.shape}")
-        flat_out = self.matmul_batched(weight.reshape(out_channels, -1), flat_inputs,
-                                       bias=bias, prepared=prepared)
+        flat_out = self.matmul_batched(weight, flat_inputs, bias=bias,
+                                       prepared=prepared)
         return (flat_out.reshape(num_maps, batch, out_h, out_w, out_channels)
                 .transpose(0, 1, 4, 2, 3))
 
@@ -760,10 +758,12 @@ class BatchedSystolicArray:
         """
 
         if chain_kernel.FASTPATH_ENABLED:
-            apply_chain_plan(plan.uniform,
-                             inputs[0] if shared_inputs else inputs,
-                             output, shared_inputs, self._stuck_kernel,
-                             self.rows, _CHAIN_BLOCK_ELEMENTS)
+            # Looked up through the module at call time so a wrapper
+            # installed on ``chain_kernel.apply_chain_plan`` sees every call.
+            chain_kernel.apply_chain_plan(plan.uniform,
+                                          inputs[0] if shared_inputs else inputs,
+                                          output, shared_inputs, self._stuck_kernel,
+                                          self.rows, _CHAIN_BLOCK_ELEMENTS)
         else:
             self._apply_chain_plan_reference(plan, inputs, output, shared_inputs)
 
@@ -853,9 +853,3 @@ class BatchedSystolicArray:
         return (f"BatchedSystolicArray({self.num_maps} maps, "
                 f"{self.rows}x{self.cols})")
 
-
-def matmul_batched(arrays: Sequence[SystolicArray], weight: np.ndarray,
-                   inputs: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Convenience wrapper: one vectorised matmul over ``len(arrays)`` fault maps."""
-
-    return BatchedSystolicArray(arrays).matmul_batched(weight, inputs, bias=bias)

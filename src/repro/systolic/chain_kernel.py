@@ -3,10 +3,11 @@
 Fault-chain application -- the per-level segment GEMMs plus stuck-at
 quantisation of :meth:`repro.systolic.array.BatchedSystolicArray
 ._apply_chain_plan` -- is the dominant cold cost of campaign sweeps (see
-ROADMAP "next perf frontier").  This module hoists the two bit-safe levers
-identified there into one implementation that both the batched simulator
-and the fused inference engine's :class:`~repro.snn.inference.faulty_gemm
-.FaultyAffineRunner` import:
+ROADMAP "next perf frontier").  This module holds the two bit-safe levers
+identified there.  Its one caller is the batched simulator, which the
+fused fault engine runs for every corrupted layer, so the GEMM the
+equivalence tests compare with the sequential oracle is the GEMM that
+writes campaign records:
 
 * **Uniform tiles.**  Chains are regrouped at *prepare time* by their
   per-tile active-site signature (the number of stuck-at breakpoint levels
@@ -44,8 +45,7 @@ Bit-identity rules (why this is safe):
   ``+0.0`` exactly as they do when the oracle accumulates into a
   zero-initialised buffer).  Skipping the ``0 +`` before the *first
   quantised* level is safe because quantisation maps ``-0.0`` and ``+0.0``
-  to the same code -- the documented property the fused runner has pinned
-  since PR 2.
+  to the same code -- a property the equivalence tests pin.
 * The in-place sign extension ``raw ^= S; raw -= S`` (with ``S`` the sign
   bit) equals ``where(raw & S, raw - 2S, raw)`` for every value in
   ``[0, 2S)`` -- exact int64 arithmetic, no rounding anywhere.

@@ -153,6 +153,16 @@ class TestCampaignRunner:
         with pytest.raises(ValueError, match="workers"):
             CampaignRunner(trained_tiny_model, eval_loader, workers=workers)
 
+    @pytest.mark.parametrize("name, value", [
+        ("trial_chunk", 0), ("unit_timeout", 0), ("unit_timeout", -1.0),
+    ])
+    def test_nonpositive_chunk_and_timeout_rejected(self, trained_tiny_model,
+                                                    eval_loader, name, value):
+        """Rejected at construction, so the serial path cannot ignore them."""
+
+        with pytest.raises(ValueError, match=name):
+            CampaignRunner(trained_tiny_model, eval_loader, **{name: value})
+
     def test_cache_roundtrip_and_hit(self, trained_tiny_model, eval_loader, tmp_path):
         points = self.make_points()
         runner = CampaignRunner(trained_tiny_model, eval_loader, cache_dir=tmp_path)

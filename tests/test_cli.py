@@ -90,6 +90,19 @@ class TestCampaignCommand:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "-1"),
+        ("--trial-chunk", "0"), ("--unit-timeout", "0"),
+        ("--unit-timeout", "-1"), ("--unit-timeout", "nan"),
+    ])
+    def test_nonpositive_campaign_values_rejected(self, flag, value, capsys):
+        """Bad values fail at parse time, before any baseline is trained."""
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", "counts", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_engine_choices_are_fused_and_sequential(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "counts", "--engine", "batched"])

@@ -322,6 +322,43 @@ class TestFaultEngineEquivalence:
         assert engine._divergence[2] == 0             # encoder conv
         assert engine.fork_order == [2, 1]
 
+    def test_fork_lane_resolves_chain_and_im2col_at_call_time(self, trained_tiny_model,
+                                                              monkeypatch, rng):
+        """The fork lane reaches ``chain_kernel.apply_chain_plan`` and
+        ``Backend.im2col`` through their module/class attributes.
+
+        Both are patched *after* the engine is built, so a name bound at
+        import or construction time would leave a counter at zero -- the
+        same lookup the perfbench tracer's wrappers depend on.
+        """
+
+        from repro.faults import StuckAtFault
+        from repro.snn.inference.backends.base import Backend
+        from repro.systolic import chain_kernel
+
+        conv_hit = random_fault_map(16, 16, 0, seed=2)
+        conv_hit.add(5, 2, StuckAtFault(FMT.magnitude_msb, "sa1"))
+        engine = FusedFaultEngine(trained_tiny_model, [build_faulty_array(conv_hit)],
+                                  backend="numpy")
+        assert engine._divergence == [0]              # forks at the encoder conv
+        calls = {"chain": 0, "im2col": 0}
+        apply_chain_plan = chain_kernel.apply_chain_plan
+        im2col = Backend.im2col
+
+        def counting_apply(*args, **kwargs):
+            calls["chain"] += 1
+            return apply_chain_plan(*args, **kwargs)
+
+        def counting_im2col(self, *args, **kwargs):
+            calls["im2col"] += 1
+            return im2col(self, *args, **kwargs)
+
+        monkeypatch.setattr(chain_kernel, "apply_chain_plan", counting_apply)
+        monkeypatch.setattr(Backend, "im2col", counting_im2col)
+        engine.run(rng.random((2, 1, 16, 16)))
+        assert calls["chain"] > 0
+        assert calls["im2col"] > 0
+
     def test_never_forking_map_equals_clean_accuracy(self, trained_tiny_model,
                                                      tiny_mnist_loaders):
         _, test_loader = tiny_mnist_loaders

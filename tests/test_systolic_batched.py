@@ -6,22 +6,26 @@ independent ``SystolicArray.matmul`` / ``conv2d`` calls.  These tests pin
 that property for fault-free maps, sa0/sa1 faults, bypassed PEs, linear and
 convolutional layers, shared (2D) and per-map (3D) activations, and a
 randomized sweep of shapes and fault structures seeded via ``utils.rng``.
+The convolution and stuck-at cases run once per available kernel backend,
+so every backend's ``im2col`` and stuck-at kernel -- the hooks the fused
+fault engine hands the array -- are checked against the oracle directly.
 """
 
 import numpy as np
 import pytest
 
-from repro.faults import FaultMap, StuckAtFault, random_fault_map
+from repro.faults import StuckAtFault, random_fault_map
+from repro.snn.inference import available_backends, get_backend
 from repro.systolic import (
     BatchedSystolicArray,
     DEFAULT_ACCUMULATOR_FORMAT,
     FixedPointFormat,
     SystolicArray,
-    matmul_batched,
 )
 from repro.utils.rng import get_rng
 
 FMT = DEFAULT_ACCUMULATOR_FORMAT
+BACKENDS = available_backends()
 
 
 def random_arrays(rng, rows, cols, num_maps, max_faults=7, allow_bypass=True):
@@ -55,8 +59,9 @@ class TestMatmulBatchedEquivalence:
         for f, array in enumerate(arrays):
             assert np.array_equal(result[f], array.matmul(weight, inputs[f]))
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("stuck", ["sa0", "sa1"])
-    def test_single_polarity_faults_bit_identical(self, stuck):
+    def test_single_polarity_faults_bit_identical(self, stuck, backend):
         rng = get_rng(1)
         arrays = []
         for seed in range(5):
@@ -67,7 +72,8 @@ class TestMatmulBatchedEquivalence:
             arrays.append(array)
         weight = rng.normal(size=(12, 30))
         inputs = (rng.random((5, 6, 30)) > 0.5).astype(float)
-        result = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        result = BatchedSystolicArray(
+            arrays, backend=get_backend(backend)).matmul_batched(weight, inputs)
         for f, array in enumerate(arrays):
             assert np.array_equal(result[f], array.matmul(weight, inputs[f]))
 
@@ -129,15 +135,6 @@ class TestMatmulBatchedEquivalence:
         assert np.array_equal(batched[0], array.matmul(weight, inputs[0]))
         assert np.array_equal(batched[1], clean.matmul(weight, inputs[1]))
 
-    def test_module_level_helper(self):
-        rng = get_rng(5)
-        arrays = random_arrays(rng, 4, 4, 3)
-        weight = rng.normal(size=(6, 10))
-        inputs = rng.normal(size=(3, 2, 10))
-        assert np.array_equal(
-            matmul_batched(arrays, weight, inputs),
-            BatchedSystolicArray(arrays).matmul_batched(weight, inputs))
-
     def test_prepared_weight_reuse_is_identical(self):
         rng = get_rng(6)
         arrays = random_arrays(rng, 5, 5, 4)
@@ -150,35 +147,38 @@ class TestMatmulBatchedEquivalence:
             batched.matmul_batched(weight, inputs))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestConv2dBatchedEquivalence:
-    def test_conv_bit_identical_per_map(self):
+    def test_conv_bit_identical_per_map(self, backend):
         rng = get_rng(7)
         arrays = random_arrays(rng, 8, 8, 4)
         weight = rng.normal(size=(4, 2, 3, 3))
         x = rng.normal(size=(4, 3, 2, 8, 8))
         bias = rng.normal(size=4)
-        batched = BatchedSystolicArray(arrays).conv2d_batched(
+        batched = BatchedSystolicArray(arrays, backend=get_backend(backend)).conv2d_batched(
             weight, x, bias=bias, stride=1, padding=1)
         for f, array in enumerate(arrays):
             expected = array.conv2d(weight, x[f], bias=bias, stride=1, padding=1)
             assert np.array_equal(batched[f], expected)
 
-    def test_conv_shared_inputs_bit_identical(self):
+    def test_conv_shared_inputs_bit_identical(self, backend):
         rng = get_rng(8)
         arrays = random_arrays(rng, 6, 6, 5)
         weight = rng.normal(size=(3, 1, 3, 3))
         x = rng.normal(size=(2, 1, 6, 6))
-        batched = BatchedSystolicArray(arrays).conv2d_batched(weight, x, padding=1)
+        batched = BatchedSystolicArray(arrays, backend=get_backend(backend)).conv2d_batched(
+            weight, x, padding=1)
         for f, array in enumerate(arrays):
             expected = array.conv2d(weight, x, padding=1)
             assert np.array_equal(batched[f], expected)
 
-    def test_conv_weight_through_matmul(self):
+    def test_conv_weight_through_matmul(self, backend):
         rng = get_rng(9)
         arrays = random_arrays(rng, 8, 8, 3)
         weight = rng.normal(size=(4, 2, 3, 3))   # 4D accepted by matmul too
         inputs = rng.normal(size=(3, 5, 18))
-        batched = BatchedSystolicArray(arrays).matmul_batched(weight, inputs)
+        batched = BatchedSystolicArray(arrays, backend=get_backend(backend)).matmul_batched(
+            weight, inputs)
         for f, array in enumerate(arrays):
             assert np.array_equal(batched[f], array.matmul(weight, inputs[f]))
 
@@ -213,11 +213,6 @@ class TestBatchedArrayValidation:
         batched = BatchedSystolicArray([SystolicArray(4, 4)])
         with pytest.raises(ValueError):
             batched.matmul_batched(np.zeros((3, 5)), np.zeros((1, 2, 4)))
-
-    def test_from_fault_maps_builds_bypass(self):
-        fault_map = random_fault_map(4, 4, 3, bit_position=FMT.magnitude_msb, seed=0)
-        batched = BatchedSystolicArray.from_fault_maps([fault_map], bypass=True)
-        assert batched.arrays[0].bypassed_coordinates == set(fault_map.coordinates())
 
     def test_num_maps(self):
         assert BatchedSystolicArray([SystolicArray(2, 2)] * 3).num_maps == 3
